@@ -17,7 +17,7 @@ import numpy as np
 from . import analytic
 from .config import RunConfig
 from .discretize import LinearStateSpace, assemble, galerkin_transfer, project_initial_state
-from .simulate import SimulationTrace, error_metrics, integrate
+from .simulate import SimulationTrace, error_metrics, integrate, write_csv
 from .synthesis import (
     ClosedLoopSystem,
     ControllerRealization,
@@ -57,21 +57,22 @@ def resolvent_norm_scan(ss: LinearStateSpace, omegas) -> np.ndarray:
     return out
 
 
+def oracle_error(ss: LinearStateSpace, omegas) -> float:
+    """Max relative deviation of the assembled transfer from the closed form over omegas."""
+    worst = 0.0
+    for w in omegas:
+        ref = analytic.plant_transfer(w, ss.params)
+        err = np.linalg.norm(galerkin_transfer(ss, w) - ref) / np.linalg.norm(ref)
+        worst = max(worst, float(err))
+    return worst
+
+
 def transfer_error_report(p, Ns, omegas) -> list:
     """Max relative deviation of the assembled transfer from the closed form, per N.
 
     Returns [(N, max_rel_error)] in the given N order.
     """
-    rows = []
-    for N in Ns:
-        ss = assemble(p, N)
-        worst = 0.0
-        for w in omegas:
-            ref = analytic.plant_transfer(w, p)
-            err = np.linalg.norm(galerkin_transfer(ss, w) - ref) / np.linalg.norm(ref)
-            worst = max(worst, float(err))
-        rows.append((int(N), worst))
-    return rows
+    return [(int(N), oracle_error(assemble(p, N), omegas)) for N in Ns]
 
 
 # --- configuration-driven construction --------------------------------------
@@ -115,14 +116,9 @@ class SweepResult:
     stable: np.ndarray
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("param,value,margin,l2sq,stable\n")
-            for i in range(self.grid.size):
-                fh.write(
-                    f"{self.parameter},{format(self.grid[i], '.17g')},"
-                    f"{format(self.margin[i], '.17g')},{format(self.l2sq[i], '.17g')},"
-                    f"{1 if self.stable[i] else 0}\n"
-                )
+        names = [self.parameter] * self.grid.size
+        rows = zip(names, self.grid, self.margin, self.l2sq, self.stable.astype(int))
+        write_csv(path, ("param", "value", "margin", "l2sq", "stable"), rows)
 
 
 _PASSIVE_PARAMS = ("c1", "c2")

@@ -73,6 +73,11 @@ def _scaled_constants(al: complex):
     return h1, h2, h3, h4, h5, c, s, T, S
 
 
+def _c2w_c3w(h1, h2, h3, h4, h5, c, S):
+    """Ratios c2w = (C2 cos(a) - C1 C5)/(C2 C3) and c3w = C4/C2 from the scaled constants."""
+    return (h2 * c * S - h1 * h5) / (h2 * h3), h4 / h2
+
+
 @dataclass(frozen=True)
 class FrequencyConstants:
     """Constants C1..C5 and the derived ratios at one frequency.
@@ -108,8 +113,7 @@ def frequency_constants(omega: float, p: PhysicalParams) -> FrequencyConstants:
     h1, h2, h3, h4, h5, c, s, T, S = _scaled_constants(al)
     ch = np.cosh(al) if abs(al.real) <= 710.0 else complex(math.inf)
     c1w = h1 / h2
-    c2w = (h2 * c * S - h1 * h5) / (h2 * h3)
-    c3w = h4 / h2
+    c2w, c3w = _c2w_c3w(h1, h2, h3, h4, h5, c, S)
     c4w = (h2 * s * S + h4 * h5) / (h2 * h3)
     return FrequencyConstants(
         omega=omega,
@@ -137,8 +141,7 @@ def transfer_beam(omega: float, p: PhysicalParams) -> np.ndarray:
         return np.diag([2.0 * p.gamma, 2.0 * p.gamma / 3.0]).astype(complex)
     al = alpha(omega, p)
     h1, h2, h3, h4, h5, c, s, T, S = _scaled_constants(al)
-    c2w = (h2 * c * S - h1 * h5) / (h2 * h3)
-    c3w = h4 / h2
+    c2w, c3w = _c2w_c3w(h1, h2, h3, h4, h5, c, S)
     pref = 4.0 * p.EI * al / (1j * omega)
     return np.diag([pref * al * al * c2w, pref * c3w])
 

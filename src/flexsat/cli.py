@@ -20,16 +20,18 @@ from .config import (
     load_config,
     write_manifest,
 )
-from .discretize import assemble, galerkin_transfer
-from .simulate import error_metrics
+from .discretize import assemble
+from .simulate import error_metrics, write_csv
 from .synthesis import (
+    CARE_RESIDUAL_RTOL,
     SYLVESTER_RESIDUAL_RTOL,
     assemble_closed_loop,
+    care_residual,
     care_solve,
     real_internal_model,
     regulation_zero_check,
-    signed_frequencies,
     solve_sylvester_H,
+    sylvester_residual,
 )
 
 EXIT_OK = 0
@@ -129,11 +131,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     damped = margin > 1e-8
 
     omegas = [0.5, 1.0, 2.0, 5.0] + ([0.0] if damped else [])
-    worst = 0.0
-    for w in omegas:
-        ref = analytic.plant_transfer(w, p)
-        err = float(np.linalg.norm(galerkin_transfer(ss, w) - ref) / np.linalg.norm(ref))
-        worst = max(worst, err)
+    worst = analysis.oracle_error(ss, omegas)
     rep.add("transfer_oracle", "pass" if worst < 1e-3 else "fail",
             f"max rel error at N={cfg.n_basis} = {worst:.3e}")
 
@@ -146,29 +144,19 @@ def cmd_validate(cfg: RunConfig) -> int:
             ident = S @ (1j * w * np.eye(2) + Bc @ analytic.transfer_beam(w, p))
             res = max(res, float(np.abs(ident - np.eye(2)).max()))
         rep.add("s_matrix_identity", "pass" if res < 1e-12 else "fail", f"max residual = {res:.3e}")
-    else:
-        rep.add("s_matrix_identity", "skip", "undamped: zero-frequency theory degenerates")
 
-    if damped:
         H = solve_sylvester_H(ss, cfg.frequencies)
-        omegas_signed = signed_frequencies(cfg.frequencies)
-        G1 = np.zeros((H.shape[0], H.shape[0]), dtype=complex)
-        for i, w in enumerate(omegas_signed):
-            G1[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = 1j * w * np.eye(2)
-        sylres = float(
-            np.linalg.norm(G1 @ H - H @ ss.A - np.tile(ss.C, (len(omegas_signed), 1)))
-            / (1.0 + np.linalg.norm(H))
-        )
+        sylres = sylvester_residual(ss, cfg.frequencies, H)
         rep.add("sylvester_residual", "pass" if sylres < SYLVESTER_RESIDUAL_RTOL else "fail",
                 f"relative residual = {sylres:.3e}")
 
         im, Hr, _ = real_internal_model(ss, cfg.frequencies)
         B1 = Hr @ ss.B
-        P, K = care_solve(im.G1, B1, cfg.q0 * np.eye(im.dim), cfg.r0 * np.eye(2))
-        ric = im.G1.T @ P + P @ im.G1 - P @ B1 @ np.linalg.solve(cfg.r0 * np.eye(2), B1.T) @ P
-        ric = ric + cfg.q0 * np.eye(im.dim)
-        relres = float(np.linalg.norm(ric) / max(np.linalg.norm(P), 1.0))
-        rep.add("care_residual", "pass" if relres < 1e-8 else "fail", f"relative residual = {relres:.3e}")
+        Q, R = cfg.q0 * np.eye(im.dim), cfg.r0 * np.eye(2)
+        P, _ = care_solve(im.G1, B1, Q, R)
+        relres = care_residual(im.G1, B1, Q, R, P)
+        rep.add("care_residual", "pass" if relres < CARE_RESIDUAL_RTOL else "fail",
+                f"relative residual = {relres:.3e}")
 
         ctrl = analysis.controller_from_config(cfg, ss)
         cl = assemble_closed_loop(ss, ctrl)
@@ -181,6 +169,7 @@ def cmd_validate(cfg: RunConfig) -> int:
             rep.add("regulation_zeros", "pass" if zmax < 1e-8 else "fail",
                     f"max residual over tracked frequencies = {zmax:.3e}")
     else:
+        rep.add("s_matrix_identity", "skip", "undamped: zero-frequency theory degenerates")
         for name in ("sylvester_residual", "care_residual", "closed_loop_margin", "regulation_zeros"):
             rep.add(name, "skip", "requires an exponentially stable plant")
 
@@ -194,20 +183,14 @@ def cmd_analyze(cfg: RunConfig, out_dir: str) -> int:
     omegas = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 6.0)
     rows = analysis.transfer_error_report(p, Ns, omegas)
     path = os.path.join(out_dir, "transfer_errors.csv")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("N,max_rel_error\n")
-        for N, err in rows:
-            fh.write(f"{N},{format(err, '.17g')}\n")
+    write_csv(path, ("N", "max_rel_error"), rows)
     print(f"wrote {path}")
 
     ss = analysis.plant_from_config(cfg)
     grid = np.linspace(-200.0, 200.0, 401)
     vals = analysis.resolvent_norm_scan(ss, grid)
     path = os.path.join(out_dir, "resolvent_scan.csv")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("omega,resolvent_norm\n")
-        for w, v in zip(grid, vals):
-            fh.write(f"{format(w, '.17g')},{format(v, '.17g')}\n")
+    write_csv(path, ("omega", "resolvent_norm"), zip(grid, vals))
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -234,12 +217,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, perturb: dict | None) -> int:
     trace_path = os.path.join(out_dir, "trace.csv")
     trace.to_csv(trace_path)
     summary_path = os.path.join(out_dir, "summary.csv")
-    with open(summary_path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("margin,l2sq,decay_rate\n")
-        fh.write(
-            f"{format(margin, '.17g')},{format(metrics.l2sq, '.17g')},"
-            f"{format(metrics.decay_rate, '.17g')}\n"
-        )
+    write_csv(summary_path, ("margin", "l2sq", "decay_rate"),
+              [(margin, metrics.l2sq, metrics.decay_rate)])
     manifest_path = os.path.join(out_dir, "manifest.txt")
     write_manifest(cfg, manifest_path)
     print(f"wrote {trace_path}, {summary_path}, {manifest_path}")
@@ -252,13 +231,6 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, perturb: dict | None) -> int:
 
 def cmd_sweep(cfg: RunConfig, out_dir: str, parameter: str, grid_text: str | None, workers) -> int:
     """Margin and tracking-error sweep over one controller parameter."""
-    if parameter not in SWEEP_PARAMETERS:
-        raise ConfigError(f"unknown sweep parameter {parameter!r}")
-    passive = cfg.controller_kind == "passive"
-    if (passive and parameter not in ("c1", "c2")) or (not passive and parameter not in ("q0", "r0")):
-        raise ConfigError(
-            f"parameter {parameter!r} does not apply to the {cfg.controller_kind} controller"
-        )
     grid = _parse_grid(grid_text) if grid_text else default_sweep_grid(cfg, parameter)
     result = analysis.sweep(cfg, parameter, grid, workers=workers)
     path = os.path.join(out_dir, f"sweep_{parameter}.csv")

@@ -239,12 +239,6 @@ class InitialProfiles:
     hub_velocity: tuple[float, float] = (0.0, 0.0)
 
 
-def _as_optional_profile(fn):
-    if fn is None:
-        return None
-    return _as_profile(fn)
-
-
 def project_initial_state(profiles: InitialProfiles, ss: LinearStateSpace) -> np.ndarray:
     """Project physical initial data onto the discrete state.
 
@@ -259,14 +253,12 @@ def project_initial_state(profiles: InitialProfiles, ss: LinearStateSpace) -> np
     x = np.zeros(ss.n)
 
     for offset, basis in ((0, ss.basis_left), (N, ss.basis_right)):
-        mom = _as_optional_profile(
-            profiles.left_moment if basis.side == "left" else profiles.right_moment
-        )
+        mom = profiles.left_moment if basis.side == "left" else profiles.right_moment
         if mom is None:
             continue
         xi, w = _panel_quadrature(basis.domain, nq)
         curv = basis.eval(xi, order=2)
-        mvals = mom(xi)
+        mvals = _as_profile(mom)(xi)
         # phi_j'' are orthogonal, so the stiffness-weighted projection is
         # coefficientwise: a_j = <m, phi_j''> / ||phi_j''||^2
         num = p.EI * curv @ (w * mvals)
@@ -276,14 +268,12 @@ def project_initial_state(profiles: InitialProfiles, ss: LinearStateSpace) -> np
     b = np.zeros(2 * N + 2)
     any_vel = False
     for offset, basis in ((0, ss.basis_left), (N, ss.basis_right)):
-        vel = _as_optional_profile(
-            profiles.left_velocity if basis.side == "left" else profiles.right_velocity
-        )
+        vel = profiles.left_velocity if basis.side == "left" else profiles.right_velocity
         if vel is None:
             continue
         any_vel = True
         xi, w = _panel_quadrature(basis.domain, nq)
-        vvals = vel(xi)
+        vvals = _as_profile(vel)(xi)
         b[0] += p.rho_a * np.sum(w * vvals)
         b[1] += p.rho_a * np.sum(w * xi * vvals)
         b[2 + offset : 2 + offset + N] = p.rho_a * basis.eval(xi) @ (w * vvals)
@@ -297,11 +287,15 @@ def project_initial_state(profiles: InitialProfiles, ss: LinearStateSpace) -> np
     return x
 
 
-def galerkin_transfer(ss: LinearStateSpace, omega: float) -> np.ndarray:
-    """Transfer matrix C (i w I - A)^{-1} B of the assembled system."""
-    shift = 1j * omega * np.eye(ss.n) - ss.A
+def shifted_solve(A: np.ndarray, omega: float, rhs: np.ndarray) -> np.ndarray:
+    """(i w I - A)^{-1} rhs; a numerically singular shift raises RuntimeError."""
+    shift = 1j * omega * np.eye(A.shape[0]) - A
     try:
-        sol = np.linalg.solve(shift, ss.B.astype(complex))
+        return np.linalg.solve(shift, rhs.astype(complex))
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"i*omega - A is numerically singular at omega = {omega!r}") from exc
-    return ss.C @ sol
+
+
+def galerkin_transfer(ss: LinearStateSpace, omega: float) -> np.ndarray:
+    """Transfer matrix C (i w I - A)^{-1} B of the assembled system."""
+    return ss.C @ shifted_solve(ss.A, omega, ss.B)

@@ -158,6 +158,15 @@ def propagate_autonomous(A: np.ndarray, x0: np.ndarray, T: float, dt: float) -> 
     return dt * np.arange(nt), xs
 
 
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows as ascii CSV: floats as %.17g, other cells with str."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            cells = (format(v, ".17g") if isinstance(v, float) else str(v) for v in row)
+            fh.write(",".join(cells) + "\n")
+
+
 @dataclass(frozen=True, eq=False)
 class SimulationTrace:
     """Uniformly sampled closed-loop trajectory with derived signals."""
@@ -170,14 +179,8 @@ class SimulationTrace:
 
     def to_csv(self, path) -> None:
         """Write t,y1,y2,e1,e2,u1,u2,energy rows at full double precision."""
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("t,y1,y2,e1,e2,u1,u2,energy\n")
-            for i in range(self.t.size):
-                row = (
-                    self.t[i], self.y[i, 0], self.y[i, 1], self.e[i, 0],
-                    self.e[i, 1], self.u[i, 0], self.u[i, 1], self.energy[i],
-                )
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+        rows = np.column_stack([self.t, self.y, self.e, self.u, self.energy]).tolist()
+        write_csv(path, ("t", "y1", "y2", "e1", "e2", "u1", "u2", "energy"), rows)
 
 
 def _exosystem(yref: SignalSpec, wd: SignalSpec):

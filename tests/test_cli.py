@@ -145,9 +145,9 @@ def test_sweep_empty_grid_exits_2(tmp_path):
 
 def test_sweep_inapplicable_parameter_exits_2(tmp_path):
     path, _ = write_config(tmp_path)  # passive controller
-    rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"),
-                   "sweep", "--param", "q0", "--grid", "1:2:2"])
-    assert rc == 2
+    for args in (["--param", "q0", "--grid", "1:2:2"], ["--param", "q0"], ["--param", "zz"]):
+        rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"), "sweep", *args])
+        assert rc == 2, args
 
 
 def test_analyze_writes_reports(tmp_path):

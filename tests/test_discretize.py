@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import flexsat as fx
-from flexsat.discretize import build_basis
+from flexsat.discretize import build_basis, shifted_solve
 
 
 def test_basis_clamped_at_hub():
@@ -173,6 +173,11 @@ def test_galerkin_transfer_conjugate_symmetry(ss10):
             np.conj(fx.galerkin_transfer(ss10, w)),
             atol=1e-13,
         )
+
+
+def test_shifted_solve_singular_shift_raises_runtime_error():
+    with pytest.raises(RuntimeError, match="singular"):
+        shifted_solve(np.zeros((3, 3)), 0.0, np.ones((3, 2)))
 
 
 def test_transfer_error_floor(params):

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 import flexsat as fx
-from flexsat.synthesis import signed_frequencies
+from flexsat.synthesis import (
+    CARE_RESIDUAL_RTOL,
+    SYLVESTER_RESIDUAL_RTOL,
+    care_residual,
+    signed_frequencies,
+    sylvester_residual,
+)
 from conftest import FREQS
 
 
@@ -113,6 +119,12 @@ def test_sylvester_residual(ss10):
     assert res < 1e-8 * (1.0 + np.linalg.norm(H))
 
 
+def test_sylvester_residual_separates_solution_from_perturbation(ss10):
+    H = fx.solve_sylvester_H(ss10, FREQS)
+    assert sylvester_residual(ss10, FREQS, H) < SYLVESTER_RESIDUAL_RTOL
+    assert sylvester_residual(ss10, FREQS, H * (1.0 + 1e-6)) > SYLVESTER_RESIDUAL_RTOL
+
+
 # --- Riccati solver -------------------------------------------------------------
 
 
@@ -150,6 +162,16 @@ def test_care_random_system():
     assert fx.spectral_abscissa(A - B @ K) < 0.0
 
 
+def test_care_residual_at_reference_internal_model(ss10):
+    im, Hr, _ = fx.real_internal_model(ss10, FREQS)
+    B1 = Hr @ ss10.B
+    Q, R = 10.0 * np.eye(im.dim), 0.1 * np.eye(2)
+    P, _ = fx.care_solve(im.G1, B1, Q, R)
+    # care_residual is already divided by max(||P||, 1)
+    assert care_residual(im.G1, B1, Q, R, P) < CARE_RESIDUAL_RTOL
+    assert care_residual(im.G1, B1, Q, R, P * (1.0 + 1e-6)) > CARE_RESIDUAL_RTOL
+
+
 def test_care_rejects_unstabilizable():
     with pytest.raises(RuntimeError):
         fx.care_solve(np.diag([1.0, 2.0]), np.array([[1.0], [0.0]]), np.eye(2), np.eye(1))
@@ -177,6 +199,14 @@ def test_real_internal_model_sylvester_identity(ss10):
     im, Hr, G2r = fx.real_internal_model(ss10, FREQS)
     res = np.linalg.norm(im.G1 @ Hr - Hr @ ss10.A - G2r @ ss10.C)
     assert res < 1e-8 * (1.0 + np.linalg.norm(Hr))
+
+
+def test_real_internal_model_accepts_high_frequency(ss10):
+    # eigenvalues of a rotation block carry rounding of order eps * w, so a
+    # fixed absolute spectrum tolerance would reject a valid w = 1e7
+    im, Hr, _ = fx.real_internal_model(ss10, (1.0, 1e7))
+    assert im.dim == 8
+    assert np.all(np.isfinite(Hr))
 
 
 def test_observer_requires_stable_plant():
