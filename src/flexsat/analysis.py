@@ -143,6 +143,7 @@ def sweep(cfg: RunConfig, parameter: str, grid, workers: int | None = None) -> S
             f"(choose from {allowed})"
         )
     ss = plant_from_config(cfg)
+    x0_plant = project_initial_state(cfg.initial_profiles(), ss)  # same plant at every point
 
     def run_point(value: float):
         try:
@@ -151,7 +152,8 @@ def sweep(cfg: RunConfig, parameter: str, grid, workers: int | None = None) -> S
             margin = stability_margin(cl.Ae)
             if margin <= 0.0:
                 return np.nan, np.nan, False
-            trace = simulate_from_config(cfg, cl)
+            x0 = np.concatenate([x0_plant, np.zeros(ctrl.n_c)])
+            trace = integrate(cl, x0, cfg.yref_spec(), cfg.wd_spec(), cfg.t_final, cfg.dt)
             return margin, error_metrics(trace).l2sq, True
         except (RuntimeError, ValueError):
             return np.nan, np.nan, False

@@ -2,9 +2,9 @@
 
 The closed loop driven by constant-plus-sinusoidal references and
 disturbances is autonomous once the signal generator is appended to the
-state, so trajectories are computed by stepping with a single matrix
-exponential: there is no time-discretization error at the grid points beyond
-the exponential's own backward error.
+state, so trajectories are computed from a single matrix exponential, applied
+in blocks of its precomputed powers: there is no time-discretization error at
+the grid points beyond the exponential's own backward error.
 """
 
 import math
@@ -15,6 +15,7 @@ import numpy as np
 from .synthesis import ClosedLoopSystem
 
 LOG_FLOOR = 1e-14  # floor for log|e| in the decay-rate fit
+_BLOCK = 8  # grid steps filled by one matrix product in propagate_autonomous
 
 
 @dataclass(frozen=True)
@@ -143,18 +144,41 @@ def matrix_exponential(M: np.ndarray) -> np.ndarray:
 
 
 def propagate_autonomous(A: np.ndarray, x0: np.ndarray, T: float, dt: float) -> tuple:
-    """Grid times and states of xd = A x using one exact exponential step."""
+    """Grid times and states of xd = A x from one exact exponential step phi = exp(A dt).
+
+    The steps are taken in blocks: with the powers phi^1 .. phi^B precomputed,
+    the block starts x_{kB} = phi^B x_{(k-1)B} are chained by matvecs, and
+    every state inside a block, phi^j x_{kB}, comes from one matrix product
+    over all blocks.  Each state is still exact at its grid point.  A power
+    phi^j that overflows makes its rows non-finite even when x0 has no
+    component along the growing mode, so that case raises as a blow-up.
+    """
     if dt <= 0.0 or T < dt:
         raise ValueError(f"need dt > 0 and T >= dt, got dt={dt!r}, T={T!r}")
     nt = int(round(T / dt)) + 1
+    n = A.shape[0]
+    nb = -(-(nt - 1) // _BLOCK)
     phi = matrix_exponential(A * dt)
-    xs = np.empty((nt, A.shape[0]))
+    # pt[:, j, :] = (phi^(j+1))^T, so a row x^T @ pt[:, j, :] is (phi^(j+1) x)^T
+    pt = np.empty((n, _BLOCK, n))
+    xs = np.empty((1 + nb * _BLOCK, n))
     xs[0] = x0
+    starts = np.empty((nb, n))
+    starts[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, nt):
-            xs[i] = phi @ xs[i - 1]
-            if not np.all(np.isfinite(xs[i])):
-                raise RuntimeError(f"state became non-finite at step {i} (t = {i * dt:.6g})")
+        pt[:, 0, :] = phi.T
+        for j in range(1, _BLOCK):
+            np.matmul(pt[:, j - 1, :], phi.T, out=pt[:, j, :])
+        phi_block = pt[:, -1, :].T
+        for k in range(1, nb):
+            starts[k] = phi_block @ starts[k - 1]
+        # writes straight into xs: row k of the product is steps kB+1 .. kB+B
+        np.matmul(starts, pt.reshape(n, _BLOCK * n), out=xs[1:].reshape(nb, _BLOCK * n))
+    xs = xs[:nt]
+    bad = ~np.isfinite(xs).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise RuntimeError(f"state became non-finite at step {i} (t = {i * dt:.6g})")
     return dt * np.arange(nt), xs
 
 

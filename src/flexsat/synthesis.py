@@ -216,16 +216,18 @@ def care_solve(A, B, Q, R):
     return P, K
 
 
-def real_internal_model(ss: LinearStateSpace, freqs):
+def real_internal_model(ss: LinearStateSpace, freqs, Hc: np.ndarray | None = None):
     """Real rotation-block servocompensator data from the complex Sylvester solution.
 
     The complex model diag(i w_k I2) with identity input blocks is carried to
     the real rotation-block form by the unitary pairing of the (i w, -i w)
     modes; the same change of basis maps H and B1 = H B, which stacks
-    sqrt(2) Im / sqrt(2) Re of the rows at each positive frequency.
+    sqrt(2) Im / sqrt(2) Re of the rows at each positive frequency.  ``Hc`` is
+    solve_sylvester_H's solution for these frequencies, solved here if omitted.
     """
     im = internal_model(freqs)
-    Hc = solve_sylvester_H(ss, freqs)
+    if Hc is None:
+        Hc = solve_sylvester_H(ss, freqs)
     omegas = signed_frequencies(freqs)
     index_of = {w: i for i, w in enumerate(omegas)}
 
@@ -246,8 +248,23 @@ def real_internal_model(ss: LinearStateSpace, freqs):
     return im, Hr, G2r
 
 
-def build_observer_controller(ss: LinearStateSpace, freqs, q0: float, r0: float) -> ControllerRealization:
-    """Observer-based internal-model controller.
+@dataclass(frozen=True, eq=False)
+class ObserverSynthesis:
+    """Observer controller with the solutions it was built from, for residual checks.
+
+    H is the complex Sylvester solution; P solves the Riccati equation of the
+    servocompensator (G1, B1) with weights q0 I and r0 I.
+    """
+
+    controller: ControllerRealization
+    H: np.ndarray
+    G1: np.ndarray
+    B1: np.ndarray
+    P: np.ndarray
+
+
+def observer_synthesis(ss: LinearStateSpace, freqs, q0: float, r0: float) -> ObserverSynthesis:
+    """Observer-based internal-model controller, keeping its Sylvester and Riccati solutions.
 
     The servocompensator is the real rotation-block internal model driven by
     the tracking error; its stabilizing gain K1 makes G1 + B1 K1 Hurwitz via
@@ -261,7 +278,8 @@ def build_observer_controller(ss: LinearStateSpace, freqs, q0: float, r0: float)
     if margin >= 0.0:
         raise ValueError(f"plant must be exponentially stable (spectral abscissa {margin:.3e})")
 
-    im, Hr, G2r = real_internal_model(ss, freqs)
+    Hc = solve_sylvester_H(ss, freqs)
+    im, Hr, G2r = real_internal_model(ss, freqs, Hc)
     B1 = Hr @ ss.B
     # every B1 block is a transfer-function value; they must be nonsingular
     for f, sl in im.blocks:
@@ -269,7 +287,7 @@ def build_observer_controller(ss: LinearStateSpace, freqs, q0: float, r0: float)
         if np.linalg.matrix_rank(rows, tol=1e-10) < 2:
             raise RuntimeError(f"plant transfer value at omega = {f} is singular; cannot stabilize")
 
-    _, Klqr = care_solve(im.G1, B1, q0 * np.eye(im.dim), r0 * np.eye(2))
+    P, Klqr = care_solve(im.G1, B1, q0 * np.eye(im.dim), r0 * np.eye(2))
     K1 = -Klqr  # care_solve has checked that G1 - B1 Klqr = G1 + B1 K1 is Hurwitz
     K2 = K1 @ Hr
 
@@ -281,7 +299,13 @@ def build_observer_controller(ss: LinearStateSpace, freqs, q0: float, r0: float)
     G1[nz:, nz:] = ss.A + ss.B @ K2
     G2 = np.vstack([G2r, np.zeros((n, 2))])
     K = np.hstack([K1, K2])
-    return ControllerRealization(G1=G1, G2=G2, K=K, kappa=np.zeros((2, 2)))
+    ctrl = ControllerRealization(G1=G1, G2=G2, K=K, kappa=np.zeros((2, 2)))
+    return ObserverSynthesis(controller=ctrl, H=Hc, G1=im.G1, B1=B1, P=P)
+
+
+def build_observer_controller(ss: LinearStateSpace, freqs, q0: float, r0: float) -> ControllerRealization:
+    """Observer-based internal-model controller (see observer_synthesis)."""
+    return observer_synthesis(ss, freqs, q0, r0).controller
 
 
 @dataclass(frozen=True, eq=False)

@@ -78,6 +78,30 @@ def test_sweep_single_point_matches_direct(default_config, ss10, passive_loop, p
     assert res.l2sq[0] == pytest.approx(fx.error_metrics(passive_trace).l2sq, rel=1e-10)
 
 
+def test_sweep_observer_single_point_matches_direct(default_config, ss10):
+    cfg = default_config.with_overrides(controller_kind="observer")
+    res = analysis.sweep(cfg, "r0", [0.1], workers=1)
+    cl = fx.assemble_closed_loop(ss10, analysis.controller_from_config(cfg, ss10, r0=0.1))
+    trace = analysis.simulate_from_config(cfg, cl)
+    assert res.stable[0]
+    assert res.margin[0] == pytest.approx(analysis.stability_margin(cl.Ae), rel=1e-10)
+    assert res.l2sq[0] == pytest.approx(fx.error_metrics(trace).l2sq, rel=1e-10)
+
+
+def test_sweep_projects_initial_state_once(default_config, monkeypatch):
+    calls = []
+    project = analysis.project_initial_state
+
+    def counting(*args):
+        calls.append(args)
+        return project(*args)
+
+    monkeypatch.setattr(analysis, "project_initial_state", counting)
+    res = analysis.sweep(default_config, "c1", [2.0, 2.5, 3.0], workers=1)
+    assert res.stable.all()
+    assert len(calls) == 1
+
+
 def test_sweep_runs_concurrently(default_config):
     grid = [2.0, 2.5, 3.0]
     seq = analysis.sweep(default_config, "c1", grid, workers=1)

@@ -32,6 +32,29 @@ def test_validate_undamped_warns_but_passes(tmp_path, capsys):
     assert "fail" not in out
 
 
+@pytest.mark.parametrize("kind", ["passive", "observer"])
+def test_validate_solves_sylvester_and_care_once(tmp_path, monkeypatch, capsys, kind):
+    from flexsat import analysis, synthesis
+
+    counts = {"solve_sylvester_H": 0, "care_solve": 0}
+    for name in counts:
+        solver = getattr(synthesis, name)
+
+        def counting(*args, _solver=solver, _name=name):
+            counts[_name] += 1
+            return _solver(*args)
+
+        for module in (synthesis, analysis, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    path, _ = write_config(tmp_path, controller_kind=kind)
+    rc = cli.main(["--config", str(path), "validate"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "sylvester_residual" in out and "care_residual" in out
+    assert counts == {"solve_sylvester_H": 1, "care_solve": 1}
+
+
 def test_validate_bad_config_exits_2(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[physical]\nm = -1.0\n")

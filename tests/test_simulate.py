@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import flexsat as fx
+from flexsat import analysis
 from flexsat.simulate import _exosystem
 
 
@@ -131,9 +132,62 @@ def test_propagate_validates_grid():
 
 
 def test_propagate_detects_blowup():
+    # x_i = exp(200 i) first overflows at i = 4 (exp(800) > 1.8e308 > exp(600))
     A = np.array([[400.0]])
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match=r"non-finite at step 4 \(t = 2\)"):
         fx.propagate_autonomous(A, np.array([1.0]), 10.0, 0.5)
+
+
+def step_loop(A, x0, T, dt):
+    """Reference propagation: one matvec with exp(A dt) per grid step."""
+    nt = int(round(T / dt)) + 1
+    phi = fx.matrix_exponential(A * dt)
+    xs = np.empty((nt, A.shape[0]))
+    xs[0] = x0
+    for i in range(1, nt):
+        xs[i] = phi @ xs[i - 1]
+    return xs
+
+
+def assert_matches_step_loop(A, x0, T, dt):
+    t, xs = fx.propagate_autonomous(A, x0, T, dt)
+    want = step_loop(A, x0, T, dt)
+    assert xs.shape == want.shape
+    assert np.array_equal(t, dt * np.arange(want.shape[0]))
+    assert np.max(np.abs(xs - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("steps", [1, 7, 8, 9, 3000])
+def test_propagate_blocked_matches_step_loop(steps):
+    # fewer steps than one block, exactly one block, and partial last blocks
+    rng = np.random.default_rng(steps)
+    A = 0.3 * rng.standard_normal((12, 12)) - np.eye(12)
+    x0 = rng.standard_normal(12)
+    dt = 0.01
+    assert_matches_step_loop(A, x0, steps * dt, dt)
+
+
+def augmented_loop(cl, cfg):
+    """Closed loop with the configured signal generator appended, and its initial state."""
+    S, v0, E = _exosystem(cfg.yref_spec(), cfg.wd_spec())
+    ne, nw = cl.n, S.shape[0]
+    A_aug = np.zeros((ne + nw, ne + nw))
+    A_aug[:ne, :ne] = cl.Ae
+    A_aug[:ne, ne:] = cl.Be @ E
+    A_aug[ne:, ne:] = S
+    return A_aug, np.concatenate([analysis.initial_state_from_config(cfg, cl), v0])
+
+
+def test_propagate_reference_loops_match_step_loop(default_config, passive_loop):
+    A, x0 = augmented_loop(passive_loop, default_config)
+    assert_matches_step_loop(A, x0, default_config.t_final, default_config.dt)
+
+    cfg = default_config.with_overrides(controller_kind="observer", n_basis=20)
+    ss = analysis.plant_from_config(cfg)
+    cl = fx.assemble_closed_loop(ss, analysis.controller_from_config(cfg, ss))
+    A, x0 = augmented_loop(cl, cfg)
+    assert A.shape == (185, 185)
+    assert_matches_step_loop(A, x0, cfg.t_final, cfg.dt)
 
 
 # --- closed-loop integration ----------------------------------------------------
