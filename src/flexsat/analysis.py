@@ -24,6 +24,8 @@ from .synthesis import (
     assemble_closed_loop,
     build_observer_controller,
     build_passive_controller,
+    observer_synthesis,
+    solve_sylvester_H,
 )
 
 
@@ -81,15 +83,10 @@ def plant_from_config(cfg: RunConfig) -> LinearStateSpace:
     return assemble(cfg.physical(), cfg.n_basis, cfg.bd_profiles())
 
 
-def controller_from_config(cfg: RunConfig, ss: LinearStateSpace, **overrides) -> ControllerRealization:
-    values = {"c1": cfg.c1, "c2": cfg.c2, "q0": cfg.q0, "r0": cfg.r0}
-    for key, val in overrides.items():
-        if key not in values:
-            raise ValueError(f"unknown controller parameter {key!r}")
-        values[key] = val
+def controller_from_config(cfg: RunConfig, ss: LinearStateSpace) -> ControllerRealization:
     if cfg.controller_kind == "passive":
-        return build_passive_controller(cfg.frequencies, values["c1"], values["c2"])
-    return build_observer_controller(ss, cfg.frequencies, values["q0"], values["r0"])
+        return build_passive_controller(cfg.frequencies, cfg.c1, cfg.c2)
+    return build_observer_controller(ss, cfg.frequencies, cfg.q0, cfg.r0)
 
 
 def initial_state_from_config(cfg: RunConfig, cl: ClosedLoopSystem) -> np.ndarray:
@@ -125,11 +122,13 @@ _PASSIVE_PARAMS = ("c1", "c2")
 _OBSERVER_PARAMS = ("q0", "r0")
 
 
-def sweep(cfg: RunConfig, parameter: str, grid, workers: int | None = None) -> SweepResult:
+def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
     """Synthesize, close the loop, and simulate across one parameter grid.
 
     Unstable closed loops and synthesis failures are flagged in ``stable``
-    and carry NaN metrics; the sweep always completes.
+    and carry NaN metrics; the sweep always completes.  Work that depends on
+    the plant alone (initial state, observer Sylvester solution) is done once.
+    ``cfg.workers`` threads run the points (0: one per core).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -143,11 +142,22 @@ def sweep(cfg: RunConfig, parameter: str, grid, workers: int | None = None) -> S
             f"(choose from {allowed})"
         )
     ss = plant_from_config(cfg)
-    x0_plant = project_initial_state(cfg.initial_profiles(), ss)  # same plant at every point
+    x0_plant = project_initial_state(cfg.initial_profiles(), ss)
+    H = None
+    if cfg.controller_kind == "observer":
+        try:
+            H = solve_sylvester_H(ss, cfg.frequencies)
+        except (RuntimeError, ValueError):
+            nan = np.full(grid.size, np.nan)
+            return SweepResult(parameter, grid, nan, nan.copy(), np.zeros(grid.size, dtype=bool))
 
     def run_point(value: float):
         try:
-            ctrl = controller_from_config(cfg, ss, **{parameter: float(value)})
+            point = cfg.with_overrides(**{parameter: float(value)})
+            if H is None:
+                ctrl = controller_from_config(point, ss)
+            else:
+                ctrl = observer_synthesis(ss, point.frequencies, point.q0, point.r0, H).controller
             cl = assemble_closed_loop(ss, ctrl)
             margin = stability_margin(cl.Ae)
             if margin <= 0.0:
@@ -158,8 +168,7 @@ def sweep(cfg: RunConfig, parameter: str, grid, workers: int | None = None) -> S
         except (RuntimeError, ValueError):
             return np.nan, np.nan, False
 
-    nworkers = workers if workers is not None else (cfg.workers or os.cpu_count() or 1)
-    nworkers = max(1, min(int(nworkers), grid.size))
+    nworkers = max(1, min(cfg.workers or os.cpu_count() or 1, grid.size))
     if nworkers == 1:
         rows = [run_point(v) for v in grid]
     else:

@@ -29,6 +29,7 @@ from .synthesis import (
     care_residual,
     observer_synthesis,
     regulation_zero_check,
+    solve_sylvester_H,
     sylvester_residual,
 )
 
@@ -145,8 +146,9 @@ def cmd_validate(cfg: RunConfig) -> int:
 
         # one observer synthesis: its residuals are checked, and on an observer
         # config it is also the controller of the closed loop
-        syn = observer_synthesis(ss, cfg.frequencies, cfg.q0, cfg.r0)
-        sylres = sylvester_residual(ss, cfg.frequencies, syn.H)
+        H = solve_sylvester_H(ss, cfg.frequencies)
+        syn = observer_synthesis(ss, cfg.frequencies, cfg.q0, cfg.r0, H)
+        sylres = sylvester_residual(ss, cfg.frequencies, H)
         rep.add("sylvester_residual", "pass" if sylres < SYLVESTER_RESIDUAL_RTOL else "fail",
                 f"relative residual = {sylres:.3e}")
 
@@ -231,8 +233,10 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, perturb: dict | None) -> int:
 
 def cmd_sweep(cfg: RunConfig, out_dir: str, parameter: str, grid_text: str | None, workers) -> int:
     """Margin and tracking-error sweep over one controller parameter."""
+    if workers is not None:
+        cfg = cfg.with_overrides(workers=workers)
     grid = _parse_grid(grid_text) if grid_text else default_sweep_grid(cfg, parameter)
-    result = analysis.sweep(cfg, parameter, grid, workers=workers)
+    result = analysis.sweep(cfg, parameter, grid)
     path = os.path.join(out_dir, f"sweep_{parameter}.csv")
     result.to_csv(path)
     n_unstable = int(np.sum(~result.stable))
@@ -255,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep", help="sweep one controller parameter")
     swp.add_argument("--param", required=True, help=f"one of {', '.join(SWEEP_PARAMETERS)}")
     swp.add_argument("--grid", help="lo:hi:n or lo:hi:n:log (default: built-in range)")
-    swp.add_argument("--workers", type=int, help="sweep worker threads")
+    swp.add_argument("--workers", type=int, help="sweep worker threads (overrides config; 0: one per core)")
     return parser
 
 

@@ -260,47 +260,13 @@ def load_config(path) -> RunConfig:
 
 def config_to_ini(cfg: RunConfig) -> str:
     """Serialize a resolved configuration; parsing the result reproduces it."""
+    formats = {"vec": _fmt_vec, "mat": _fmt_mat}
     buf = io.StringIO()
-    sections = {
-        "physical": {k: _fmt(getattr(cfg, k)) for k in _SCHEMA["physical"]},
-        "discretization": {"n_basis": str(cfg.n_basis)},
-        "controller": {
-            "kind": cfg.controller_kind,
-            "c1": _fmt(cfg.c1), "c2": _fmt(cfg.c2),
-            "q0": _fmt(cfg.q0), "r0": _fmt(cfg.r0),
-        },
-        "signals": {
-            "frequencies": _fmt_vec(cfg.frequencies),
-            "yref_const": _fmt_vec(cfg.yref_const),
-            "yref_cos": _fmt_mat(cfg.yref_cos),
-            "yref_sin": _fmt_mat(cfg.yref_sin),
-            "wd_const": _fmt_vec(cfg.wd_const),
-            "wd_cos": _fmt_mat(cfg.wd_cos),
-            "wd_sin": _fmt_mat(cfg.wd_sin),
-        },
-        "simulation": {
-            "t_final": _fmt(cfg.t_final),
-            "dt": _fmt(cfg.dt),
-            "initial_profile": cfg.initial_profile,
-            "left_velocity": _fmt_vec(cfg.left_velocity),
-            "right_velocity": _fmt_vec(cfg.right_velocity),
-            "left_moment": _fmt_vec(cfg.left_moment),
-            "right_moment": _fmt_vec(cfg.right_moment),
-            "hub_velocity": _fmt_vec(cfg.hub_velocity),
-            "bd1": _fmt_vec(cfg.bd1),
-            "bd2": _fmt_vec(cfg.bd2),
-        },
-        "sweep": {
-            "points": str(cfg.sweep_points),
-            "scale": cfg.sweep_scale,
-            "workers": str(cfg.workers),
-        },
-        "output": {"directory": cfg.out_dir, "seed": str(cfg.seed)},
-    }
-    for name, body in sections.items():
-        buf.write(f"[{name}]\n")
-        for key, val in body.items():
-            buf.write(f"{key} = {val}\n")
+    for section, keys in _SCHEMA.items():
+        buf.write(f"[{section}]\n")
+        for key, kind in keys.items():
+            value = getattr(cfg, _KEY_TO_FIELD.get((section, key), key))
+            buf.write(f"{key} = {formats.get(kind, _fmt)(value)}\n")
         buf.write("\n")
     return buf.getvalue()
 

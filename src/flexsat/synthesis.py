@@ -8,8 +8,9 @@ are provided.  The passive controller is a fixed-structure skew-symmetric
 internal model with output feedback; it needs no model information beyond
 the tracked frequencies.  The observer-based controller augments the internal
 model with a full plant copy; its stabilizing gain comes from a continuous
-algebraic Riccati equation and its coupling from a Sylvester equation solved
-in the frequency domain.
+algebraic Riccati equation and its coupling from the regulator (Sylvester)
+equation G1 H = H A + G2 C of the real rotation-block internal model, solved
+with one shifted solve of the plant per tracked frequency.
 """
 
 from dataclasses import dataclass
@@ -127,18 +128,39 @@ def build_passive_controller(freqs, c1: float, c2: float) -> ControllerRealizati
     return ControllerRealization(G1=im.G1, G2=G2, K=-G2.T, kappa=c2 * np.eye(2))
 
 
-def solve_sylvester_H(ss: LinearStateSpace, freqs) -> np.ndarray:
-    """Frequency-by-frequency solution H of G1 H = H A + G2 C (complex form).
+def _observer_G2(im: InternalModel) -> np.ndarray:
+    """Error input of the observer's internal model: I on the zero block and
+    sqrt(2) I on the trailing half of each rotation block."""
+    G2 = np.zeros((im.dim, 2))
+    for f, sl in im.blocks:
+        if f == 0.0:
+            G2[sl] = np.eye(2)
+        else:
+            G2[sl.start + 2 : sl.stop] = np.sqrt(2.0) * np.eye(2)
+    return G2
 
-    Row block k is C (i w_k I - A)^{-1} for the signed frequencies
-    w_{-q} .. w_q; G1 = diag(i w_k I2) and every G2 block is the identity.
-    Requires the plant to be exponentially stable so each shift is regular.
+
+def solve_sylvester_H(ss: LinearStateSpace, freqs) -> np.ndarray:
+    """Real solution H of G1 H = H A + G2 C for the rotation-block internal model.
+
+    G1 is internal_model(freqs).G1, G2 the observer's error input, and the rows
+    of H follow its blocks.  With R_w = C (i w I - A)^{-1}, one shifted solve per
+    tracked frequency, the zero block is Re R_0 and each rotation block stacks
+    sqrt(2) Im R_w over sqrt(2) Re R_w.  The plant must be exponentially stable
+    so that every shift is regular.
     """
-    omegas = signed_frequencies(freqs)
-    H = np.vstack([shifted_solve(ss.A.T, w, ss.C.T).T for w in omegas])
+    margin = np.max(np.linalg.eigvals(ss.A).real)
+    if margin >= 0.0:
+        raise ValueError(f"plant must be exponentially stable (spectral abscissa {margin:.3e})")
+    im = internal_model(freqs)
+    H = np.empty((im.dim, ss.n))
+    s2 = np.sqrt(2.0)
+    for f, sl in im.blocks:
+        R = shifted_solve(ss.A.T, f, ss.C.T).T
+        H[sl] = R.real if f == 0.0 else np.vstack([s2 * R.imag, s2 * R.real])
     residual = sylvester_residual(ss, freqs, H)
     if residual > SYLVESTER_RESIDUAL_RTOL:
-        worst = max(np.linalg.cond(1j * w * np.eye(ss.n) - ss.A) for w in omegas)
+        worst = max(np.linalg.cond(1j * f * np.eye(ss.n) - ss.A) for f, _ in im.blocks)
         raise RuntimeError(
             f"relative Sylvester residual {residual:.3e} exceeds {SYLVESTER_RESIDUAL_RTOL:.1e} "
             f"(worst shift condition number {worst:.3e})"
@@ -148,10 +170,9 @@ def solve_sylvester_H(ss: LinearStateSpace, freqs) -> np.ndarray:
 
 def sylvester_residual(ss: LinearStateSpace, freqs, H: np.ndarray) -> float:
     """Relative residual ||G1 H - H A - G2 C|| / (1 + ||H||) of solve_sylvester_H's equation."""
-    omegas = signed_frequencies(freqs)
-    g1 = np.repeat(1j * np.asarray(omegas), 2)  # diagonal of G1 = diag(i w_k I2)
-    G2C = np.tile(ss.C, (len(omegas), 1))
-    return float(np.linalg.norm(g1[:, None] * H - H @ ss.A - G2C) / (1.0 + np.linalg.norm(H)))
+    im = internal_model(freqs)
+    res = im.G1 @ H - H @ ss.A - _observer_G2(im) @ ss.C
+    return float(np.linalg.norm(res) / (1.0 + np.linalg.norm(H)))
 
 
 def _riccati_map(A, G, Q, P):
@@ -216,71 +237,34 @@ def care_solve(A, B, Q, R):
     return P, K
 
 
-def real_internal_model(ss: LinearStateSpace, freqs, Hc: np.ndarray | None = None):
-    """Real rotation-block servocompensator data from the complex Sylvester solution.
-
-    The complex model diag(i w_k I2) with identity input blocks is carried to
-    the real rotation-block form by the unitary pairing of the (i w, -i w)
-    modes; the same change of basis maps H and B1 = H B, which stacks
-    sqrt(2) Im / sqrt(2) Re of the rows at each positive frequency.  ``Hc`` is
-    solve_sylvester_H's solution for these frequencies, solved here if omitted.
-    """
-    im = internal_model(freqs)
-    if Hc is None:
-        Hc = solve_sylvester_H(ss, freqs)
-    omegas = signed_frequencies(freqs)
-    index_of = {w: i for i, w in enumerate(omegas)}
-
-    Hr = np.zeros((im.dim, ss.n))
-    G2r = np.zeros((im.dim, 2))
-    s2 = np.sqrt(2.0)
-    for f, sl in im.blocks:
-        if f == 0.0:
-            Hk = Hc[2 * index_of[0.0] : 2 * index_of[0.0] + 2]
-            Hr[sl] = Hk.real
-            G2r[sl] = np.eye(2)
-        else:
-            i = index_of[f]
-            Hk = Hc[2 * i : 2 * i + 2]
-            Hr[sl.start : sl.start + 2] = s2 * Hk.imag
-            Hr[sl.start + 2 : sl.stop] = s2 * Hk.real
-            G2r[sl.start + 2 : sl.stop] = s2 * np.eye(2)
-    return im, Hr, G2r
-
-
 @dataclass(frozen=True, eq=False)
 class ObserverSynthesis:
-    """Observer controller with the solutions it was built from, for residual checks.
+    """Observer controller with the Riccati data it was built from, for residual checks.
 
-    H is the complex Sylvester solution; P solves the Riccati equation of the
-    servocompensator (G1, B1) with weights q0 I and r0 I.
+    P solves the Riccati equation of the servocompensator (G1, B1 = H B) with
+    weights q0 I and r0 I.
     """
 
     controller: ControllerRealization
-    H: np.ndarray
     G1: np.ndarray
     B1: np.ndarray
     P: np.ndarray
 
 
-def observer_synthesis(ss: LinearStateSpace, freqs, q0: float, r0: float) -> ObserverSynthesis:
-    """Observer-based internal-model controller, keeping its Sylvester and Riccati solutions.
+def observer_synthesis(ss: LinearStateSpace, freqs, q0: float, r0: float, H: np.ndarray) -> ObserverSynthesis:
+    """Observer-based internal-model controller from the Sylvester solution H.
 
-    The servocompensator is the real rotation-block internal model driven by
-    the tracking error; its stabilizing gain K1 makes G1 + B1 K1 Hurwitz via
-    the Riccati equation with weights q0 I and r0 I (the Riccati gain enters
-    with a plus sign here, so the conventional sign is flipped).  A full copy
-    of the plant acts as observer, and K2 = K1 H couples it back.
+    H is solve_sylvester_H(ss, freqs), which depends on the plant alone.  The
+    servocompensator is the real rotation-block internal model driven by the
+    tracking error; its stabilizing gain K1 makes G1 + B1 K1 Hurwitz via the
+    Riccati equation with weights q0 I and r0 I (the Riccati gain enters with
+    a plus sign here, so the conventional sign is flipped).  A full copy of
+    the plant acts as observer, and K2 = K1 H couples it back.
     """
     if q0 <= 0.0 or r0 <= 0.0:
         raise ValueError(f"q0 and r0 must be positive, got q0={q0!r}, r0={r0!r}")
-    margin = np.max(np.linalg.eigvals(ss.A).real)
-    if margin >= 0.0:
-        raise ValueError(f"plant must be exponentially stable (spectral abscissa {margin:.3e})")
-
-    Hc = solve_sylvester_H(ss, freqs)
-    im, Hr, G2r = real_internal_model(ss, freqs, Hc)
-    B1 = Hr @ ss.B
+    im = internal_model(freqs)
+    B1 = H @ ss.B
     # every B1 block is a transfer-function value; they must be nonsingular
     for f, sl in im.blocks:
         rows = B1[sl.start : sl.start + 2] if f == 0.0 else B1[sl]
@@ -289,7 +273,7 @@ def observer_synthesis(ss: LinearStateSpace, freqs, q0: float, r0: float) -> Obs
 
     P, Klqr = care_solve(im.G1, B1, q0 * np.eye(im.dim), r0 * np.eye(2))
     K1 = -Klqr  # care_solve has checked that G1 - B1 Klqr = G1 + B1 K1 is Hurwitz
-    K2 = K1 @ Hr
+    K2 = K1 @ H
 
     n = ss.n
     nz = im.dim
@@ -297,15 +281,15 @@ def observer_synthesis(ss: LinearStateSpace, freqs, q0: float, r0: float) -> Obs
     G1[:nz, :nz] = im.G1
     G1[nz:, :nz] = ss.B @ K1
     G1[nz:, nz:] = ss.A + ss.B @ K2
-    G2 = np.vstack([G2r, np.zeros((n, 2))])
+    G2 = np.vstack([_observer_G2(im), np.zeros((n, 2))])
     K = np.hstack([K1, K2])
     ctrl = ControllerRealization(G1=G1, G2=G2, K=K, kappa=np.zeros((2, 2)))
-    return ObserverSynthesis(controller=ctrl, H=Hc, G1=im.G1, B1=B1, P=P)
+    return ObserverSynthesis(controller=ctrl, G1=im.G1, B1=B1, P=P)
 
 
 def build_observer_controller(ss: LinearStateSpace, freqs, q0: float, r0: float) -> ControllerRealization:
-    """Observer-based internal-model controller (see observer_synthesis)."""
-    return observer_synthesis(ss, freqs, q0, r0).controller
+    """Observer-based internal-model controller: solve_sylvester_H, then observer_synthesis."""
+    return observer_synthesis(ss, freqs, q0, r0, solve_sylvester_H(ss, freqs)).controller
 
 
 @dataclass(frozen=True, eq=False)

@@ -158,8 +158,9 @@ def test_criterion_05_structural_identities(params, ss10, default_config):
 
 def test_criterion_06_solver_residuals(ss10):
     with Timer() as tm:
-        im, Hr, _ = fx.real_internal_model(ss10, FREQS)
-        B1 = Hr @ ss10.B
+        H = fx.solve_sylvester_H(ss10, FREQS)
+        im = fx.internal_model(FREQS)
+        B1 = H @ ss10.B
         Q = 10.0 * np.eye(im.dim)
         R = 0.1 * np.eye(2)
         P, K = fx.care_solve(im.G1, B1, Q, R)
@@ -173,14 +174,13 @@ def test_criterion_06_solver_residuals(ss10):
         scalar2 = (abs(P2[0, 0] - 1.0 - math.sqrt(3.0)) < 1e-12
                    and abs(K2[0, 0] - 1.0 - math.sqrt(3.0)) < 1e-12)
 
-        H = fx.solve_sylvester_H(ss10, FREQS)
-        omegas = fx.synthesis.signed_frequencies(FREQS)
-        G1 = np.zeros((H.shape[0], H.shape[0]), dtype=complex)
-        for i, w in enumerate(omegas):
-            G1[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = 1j * w * np.eye(2)
+        # real regulator equation G1 H = H A + G2 C; G2 is I on the zero block
+        # and sqrt(2) I on the trailing half of each rotation block
+        G2 = np.zeros((im.dim, 2))
+        for f, sl in im.blocks:
+            G2[sl.stop - 2 : sl.stop] = np.eye(2) if f == 0.0 else math.sqrt(2.0) * np.eye(2)
         syl_res = float(
-            np.linalg.norm(G1 @ H - H @ ss10.A - np.tile(ss10.C, (len(omegas), 1)))
-            / (1.0 + np.linalg.norm(H))
+            np.linalg.norm(im.G1 @ H - H @ ss10.A - G2 @ ss10.C) / (1.0 + np.linalg.norm(H))
         )
     ok = (care_res < 1e-8 and hurwitz and scalar1 and scalar2
           and syl_res < 1e-8 and tm.elapsed < 5.0)

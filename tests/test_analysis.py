@@ -72,16 +72,16 @@ def test_transfer_error_report(params):
 
 
 def test_sweep_single_point_matches_direct(default_config, ss10, passive_loop, passive_trace):
-    res = analysis.sweep(default_config, "c1", [2.5], workers=1)
+    res = analysis.sweep(default_config.with_overrides(workers=1), "c1", [2.5])
     assert res.stable[0]
     assert res.margin[0] == pytest.approx(analysis.stability_margin(passive_loop.Ae), rel=1e-10)
     assert res.l2sq[0] == pytest.approx(fx.error_metrics(passive_trace).l2sq, rel=1e-10)
 
 
 def test_sweep_observer_single_point_matches_direct(default_config, ss10):
-    cfg = default_config.with_overrides(controller_kind="observer")
-    res = analysis.sweep(cfg, "r0", [0.1], workers=1)
-    cl = fx.assemble_closed_loop(ss10, analysis.controller_from_config(cfg, ss10, r0=0.1))
+    cfg = default_config.with_overrides(controller_kind="observer", workers=1)
+    res = analysis.sweep(cfg, "r0", [0.1])
+    cl = fx.assemble_closed_loop(ss10, analysis.controller_from_config(cfg, ss10))
     trace = analysis.simulate_from_config(cfg, cl)
     assert res.stable[0]
     assert res.margin[0] == pytest.approx(analysis.stability_margin(cl.Ae), rel=1e-10)
@@ -97,15 +97,37 @@ def test_sweep_projects_initial_state_once(default_config, monkeypatch):
         return project(*args)
 
     monkeypatch.setattr(analysis, "project_initial_state", counting)
-    res = analysis.sweep(default_config, "c1", [2.0, 2.5, 3.0], workers=1)
+    res = analysis.sweep(default_config.with_overrides(workers=1), "c1", [2.0, 2.5, 3.0])
     assert res.stable.all()
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("kind, parameter, grid, solves", [
+    ("observer", "r0", [0.05, 0.1, 0.2], 1),
+    ("passive", "c1", [2.0, 2.5, 3.0], 0),
+], ids=["observer-r0", "passive-c1"])
+def test_sweep_solves_sylvester_once(default_config, monkeypatch, kind, parameter, grid, solves):
+    # the Sylvester solution depends on the plant alone: one solve per
+    # observer sweep, none for the passive controller
+    calls = []
+    solve = analysis.solve_sylvester_H
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    for module in (analysis, fx.synthesis):
+        monkeypatch.setattr(module, "solve_sylvester_H", counting)
+    cfg = default_config.with_overrides(controller_kind=kind, workers=1)
+    res = analysis.sweep(cfg, parameter, grid)
+    assert res.stable.all()
+    assert len(calls) == solves
+
+
 def test_sweep_runs_concurrently(default_config):
     grid = [2.0, 2.5, 3.0]
-    seq = analysis.sweep(default_config, "c1", grid, workers=1)
-    par = analysis.sweep(default_config, "c1", grid, workers=3)
+    seq = analysis.sweep(default_config.with_overrides(workers=1), "c1", grid)
+    par = analysis.sweep(default_config.with_overrides(workers=3), "c1", grid)
     assert np.array_equal(seq.margin, par.margin)
     assert np.array_equal(seq.l2sq, par.l2sq)
 
@@ -113,8 +135,8 @@ def test_sweep_runs_concurrently(default_config):
 def test_sweep_records_synthesis_failures():
     # undamped plant: the observer synthesis refuses every grid point, and
     # the sweep must complete with all points flagged
-    cfg = RunConfig(gamma=0.0, controller_kind="observer", n_basis=4)
-    res = analysis.sweep(cfg, "r0", [0.05, 0.1], workers=1)
+    cfg = RunConfig(gamma=0.0, controller_kind="observer", n_basis=4, workers=1)
+    res = analysis.sweep(cfg, "r0", [0.05, 0.1])
     assert not np.any(res.stable)
     assert np.all(np.isnan(res.margin))
     assert np.all(np.isnan(res.l2sq))
@@ -137,8 +159,9 @@ def test_sweep_rejects_inapplicable_parameter(default_config):
 
 def test_sweep_csv_deterministic(tmp_path, default_config):
     grid = [2.0, 4.0]
-    a = analysis.sweep(default_config, "c2", grid, workers=2)
-    b = analysis.sweep(default_config, "c2", grid, workers=2)
+    cfg = default_config.with_overrides(workers=2)
+    a = analysis.sweep(cfg, "c2", grid)
+    b = analysis.sweep(cfg, "c2", grid)
     pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
     a.to_csv(pa)
     b.to_csv(pb)

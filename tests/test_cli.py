@@ -168,7 +168,8 @@ def test_sweep_empty_grid_exits_2(tmp_path):
 
 def test_sweep_inapplicable_parameter_exits_2(tmp_path):
     path, _ = write_config(tmp_path)  # passive controller
-    for args in (["--param", "q0", "--grid", "1:2:2"], ["--param", "q0"], ["--param", "zz"]):
+    for args in (["--param", "q0", "--grid", "1:2:2"], ["--param", "q0"], ["--param", "zz"],
+                 ["--param", "c1", "--grid", "1:2:2", "--workers", "-3"]):
         rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"), "sweep", *args])
         assert rc == 2, args
 

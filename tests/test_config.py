@@ -106,6 +106,7 @@ def test_reference_config_file_matches_defaults():
 
     path = pathlib.Path(__file__).resolve().parent.parent / "configs" / "reference.ini"
     assert parse_config(path.read_text()) == RunConfig()
+    assert config_to_ini(RunConfig()).encode() == path.read_bytes()
 
 
 def test_default_sweep_grids():

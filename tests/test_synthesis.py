@@ -81,42 +81,36 @@ def test_passive_transfer_closed_form(passive_ctrl):
 
 def test_sylvester_zero_frequency_block(ss10):
     H = fx.solve_sylvester_H(ss10, FREQS)
-    omegas = signed_frequencies(FREQS)
-    i0 = omegas.index(0.0)
-    H0 = H[2 * i0 : 2 * i0 + 2]
+    im = fx.internal_model(FREQS)
+    f0, sl0 = im.blocks[0]
+    assert f0 == 0.0
     want = ss10.C @ np.linalg.solve(-ss10.A, np.eye(ss10.n))
-    assert np.max(np.abs(H0 - want)) < 1e-10
-    assert np.max(np.abs(H0.imag)) < 1e-12
-
-
-def test_sylvester_conjugate_rows(ss10):
-    H = fx.solve_sylvester_H(ss10, FREQS)
-    omegas = signed_frequencies(FREQS)
-    for w in (1.0, 2.0, 5.0):
-        i_pos = omegas.index(w)
-        i_neg = omegas.index(-w)
-        assert np.allclose(H[2 * i_neg : 2 * i_neg + 2], np.conj(H[2 * i_pos : 2 * i_pos + 2]), atol=1e-12)
+    assert np.isrealobj(H) and H.shape == (im.dim, ss10.n)
+    assert np.max(np.abs(H[sl0] - want)) < 1e-10
 
 
 def test_sylvester_rows_give_transfer_values(ss10):
-    # H_k B equals the assembled transfer value at i w_k
+    # H B stacks transfer values G(i w): G(0) on the zero block, and
+    # sqrt(2) Im G(i w) over sqrt(2) Re G(i w) on each rotation block
     H = fx.solve_sylvester_H(ss10, FREQS)
-    omegas = signed_frequencies(FREQS)
-    for i, w in enumerate(omegas):
-        got = H[2 * i : 2 * i + 2] @ ss10.B
-        want = fx.galerkin_transfer(ss10, w)
+    for f, sl in fx.internal_model(FREQS).blocks:
+        got = H[sl] @ ss10.B
+        G = fx.galerkin_transfer(ss10, f)
+        want = G if f == 0.0 else np.sqrt(2.0) * np.vstack([G.imag, G.real])
         assert np.max(np.abs(got - want)) < 1e-10
 
 
 def test_sylvester_residual(ss10):
     H = fx.solve_sylvester_H(ss10, FREQS)
-    omegas = signed_frequencies(FREQS)
-    G1 = np.zeros((H.shape[0], H.shape[0]), dtype=complex)
-    for i, w in enumerate(omegas):
-        G1[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = 1j * w * np.eye(2)
-    G2C = np.tile(ss10.C, (len(omegas), 1))
-    res = np.linalg.norm(G1 @ H - H @ ss10.A - G2C)
+    im = fx.internal_model(FREQS)
+    # the observer's error input: I on the zero block, sqrt(2) I on the
+    # trailing half of each rotation block
+    G2 = np.zeros((im.dim, 2))
+    for f, sl in im.blocks:
+        G2[sl.stop - 2 : sl.stop] = np.eye(2) if f == 0.0 else np.sqrt(2.0) * np.eye(2)
+    res = np.linalg.norm(im.G1 @ H - H @ ss10.A - G2 @ ss10.C)
     assert res < 1e-8 * (1.0 + np.linalg.norm(H))
+    assert sylvester_residual(ss10, FREQS, H) == pytest.approx(res / (1.0 + np.linalg.norm(H)), rel=1e-12)
 
 
 def test_sylvester_residual_separates_solution_from_perturbation(ss10):
@@ -163,8 +157,8 @@ def test_care_random_system():
 
 
 def test_care_residual_at_reference_internal_model(ss10):
-    im, Hr, _ = fx.real_internal_model(ss10, FREQS)
-    B1 = Hr @ ss10.B
+    im = fx.internal_model(FREQS)
+    B1 = fx.solve_sylvester_H(ss10, FREQS) @ ss10.B
     Q, R = 10.0 * np.eye(im.dim), 0.1 * np.eye(2)
     P, _ = fx.care_solve(im.G1, B1, Q, R)
     # care_residual is already divided by max(||P||, 1)
@@ -186,8 +180,8 @@ def test_observer_dimensions(observer_ctrl, ss10):
 
 
 def test_observer_internal_model_stabilized(ss10):
-    im, Hr, G2r = fx.real_internal_model(ss10, FREQS)
-    B1 = Hr @ ss10.B
+    im = fx.internal_model(FREQS)
+    B1 = fx.solve_sylvester_H(ss10, FREQS) @ ss10.B
     _, Klqr = fx.care_solve(im.G1, B1, 10.0 * np.eye(im.dim), 0.1 * np.eye(2))
     assert fx.spectral_abscissa(im.G1 + B1 @ (-Klqr)) < 0.0
     # the Riccati gain with the conventional sign does not stabilize the
@@ -195,18 +189,22 @@ def test_observer_internal_model_stabilized(ss10):
     assert fx.spectral_abscissa(im.G1 + B1 @ Klqr) > 0.0
 
 
-def test_real_internal_model_sylvester_identity(ss10):
-    im, Hr, G2r = fx.real_internal_model(ss10, FREQS)
-    res = np.linalg.norm(im.G1 @ Hr - Hr @ ss10.A - G2r @ ss10.C)
-    assert res < 1e-8 * (1.0 + np.linalg.norm(Hr))
+def test_real_internal_model_sylvester_identity(ss10, observer_ctrl):
+    # the internal-model rows of the controller realization are the G1 and G2
+    # that solve_sylvester_H's H satisfies
+    H = fx.solve_sylvester_H(ss10, FREQS)
+    nz = fx.internal_model(FREQS).dim
+    G1, G2 = observer_ctrl.G1[:nz, :nz], observer_ctrl.G2[:nz]
+    res = np.linalg.norm(G1 @ H - H @ ss10.A - G2 @ ss10.C)
+    assert res < 1e-8 * (1.0 + np.linalg.norm(H))
 
 
 def test_real_internal_model_accepts_high_frequency(ss10):
     # eigenvalues of a rotation block carry rounding of order eps * w, so a
     # fixed absolute spectrum tolerance would reject a valid w = 1e7
-    im, Hr, _ = fx.real_internal_model(ss10, (1.0, 1e7))
-    assert im.dim == 8
-    assert np.all(np.isfinite(Hr))
+    H = fx.solve_sylvester_H(ss10, (1.0, 1e7))
+    assert H.shape == (8, ss10.n)
+    assert np.all(np.isfinite(H))
 
 
 def test_observer_requires_stable_plant():
