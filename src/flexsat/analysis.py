@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analytic
 from .config import RunConfig
-from .discretize import LinearStateSpace, assemble, galerkin_transfer, project_initial_state
+from .discretize import LinearStateSpace, assemble, galerkin_transfer, project_initial_state, spectral_abscissa
 from .simulate import SimulationTrace, error_metrics, integrate, write_csv
 from .synthesis import (
     ClosedLoopSystem,
@@ -27,11 +27,6 @@ from .synthesis import (
     observer_synthesis,
     solve_sylvester_H,
 )
-
-
-def spectral_abscissa(A: np.ndarray) -> float:
-    """Largest real part over the eigenvalues of a dense matrix."""
-    return float(np.max(np.linalg.eigvals(A).real))
 
 
 def stability_margin(A: np.ndarray) -> float:
@@ -47,7 +42,7 @@ def resolvent_norm_scan(ss: LinearStateSpace, omegas) -> np.ndarray:
     resolvent of the discretized dynamics.
     """
     if spectral_abscissa(ss.A) >= 0.0:
-        raise ValueError("resolvent scan requires an exponentially stable system")
+        raise RuntimeError("resolvent scan requires an exponentially stable system")
     omegas = np.asarray(omegas, dtype=float)
     out = np.empty(omegas.size)
     eye = np.eye(ss.n)
@@ -133,6 +128,8 @@ def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("sweep grid must be nonempty")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("sweep grid must be finite")
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("sweep grid must be strictly increasing")
     allowed = _PASSIVE_PARAMS if cfg.controller_kind == "passive" else _OBSERVER_PARAMS

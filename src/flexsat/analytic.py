@@ -7,10 +7,12 @@ panel pair seen from the hub has the 2x2 diagonal transfer matrix
     P_b(i w) = 4 EI (alpha / (i w)) diag(alpha^2 C2w, C3w),   w != 0,
     P_b(0)   = gamma diag(2, 2/3),
 
-with alpha(w) the principal fourth root of (rho a / EI)(w^2 - i gamma w / (rho a))
-and C2w, C3w ratios of trigonometric/hyperbolic combinations of alpha.  The
-hub alone is the lossless integrator P_c(i w) = diag(1/m, 1/I_m) / (i w).  The
-full plant transfer is P(i w) = C_c S(i w) B_c with
+with alpha(w) the principal fourth root of (rho a / EI)(w^2 - i gamma w / (rho a)),
+and C2w = (C2 cos a - C1 C5)/(C2 C3), C3w = C4/C2 at a = alpha(w), where
+C1 = 1 + cos a cosh a + sin a sinh a, C2 = 2 + 2 cos a cosh a, C3 = sinh a + sin a,
+C4 = cos a sinh a - sin a cosh a and C5 = cosh a + cos a.  The hub alone is the
+lossless integrator P_c(i w) = diag(1/m, 1/I_m) / (i w).  The full plant
+transfer is P(i w) = C_c S(i w) B_c with
 
     S(i w) = [i w I + B_c P_b(i w) C_c]^{-1}.
 
@@ -55,81 +57,6 @@ def _sech(z: complex) -> complex:
     return 1.0 / np.cosh(z)
 
 
-def _scaled_constants(al: complex):
-    """The five trigonometric constants divided by cosh(alpha).
-
-    Returns (h1..h5, c, s, T, S) where hk = Ck / cosh(alpha), c = cos(alpha),
-    s = sin(alpha), T = tanh(alpha), S = sech(alpha).
-    """
-    T = np.tanh(al)
-    S = _sech(al)
-    c = np.cos(al)
-    s = np.sin(al)
-    h1 = S + c + s * T
-    h2 = 2.0 * (S + c)
-    h3 = T + s * S
-    h4 = c * T - s
-    h5 = 1.0 + c * S
-    return h1, h2, h3, h4, h5, c, s, T, S
-
-
-def _c2w_c3w(h1, h2, h3, h4, h5, c, S):
-    """Ratios c2w = (C2 cos(a) - C1 C5)/(C2 C3) and c3w = C4/C2 from the scaled constants."""
-    return (h2 * c * S - h1 * h5) / (h2 * h3), h4 / h2
-
-
-@dataclass(frozen=True)
-class FrequencyConstants:
-    """Constants C1..C5 and the derived ratios at one frequency.
-
-    c1..c5 are the raw combinations (they overflow to inf once
-    Re(alpha) > ~710; the ratios below stay finite).  c1w..c4w are
-
-        c1w = C1/C2,  c2w = (C2 cos(a) - C1 C5)/(C2 C3),
-        c3w = C4/C2,  c4w = (C2 sin(a) + C4 C5)/(C2 C3).
-    """
-
-    omega: float
-    alpha: complex
-    c1: complex
-    c2: complex
-    c3: complex
-    c4: complex
-    c5: complex
-    c1w: complex
-    c2w: complex
-    c3w: complex
-    c4w: complex
-
-
-def frequency_constants(omega: float, p: PhysicalParams) -> FrequencyConstants:
-    """Evaluate the frequency constants at a nonzero frequency."""
-    if abs(omega) < OMEGA_ZERO_THRESHOLD:
-        raise ValueError(
-            "frequency constants are bypassed at omega = 0; the w = 0 "
-            "transfer values have dedicated closed forms"
-        )
-    al = alpha(omega, p)
-    h1, h2, h3, h4, h5, c, s, T, S = _scaled_constants(al)
-    ch = np.cosh(al) if abs(al.real) <= 710.0 else complex(math.inf)
-    c1w = h1 / h2
-    c2w, c3w = _c2w_c3w(h1, h2, h3, h4, h5, c, S)
-    c4w = (h2 * s * S + h4 * h5) / (h2 * h3)
-    return FrequencyConstants(
-        omega=omega,
-        alpha=al,
-        c1=h1 * ch,
-        c2=h2 * ch,
-        c3=h3 * ch,
-        c4=h4 * ch,
-        c5=h5 * ch,
-        c1w=c1w,
-        c2w=c2w,
-        c3w=c3w,
-        c4w=c4w,
-    )
-
-
 def transfer_beam(omega: float, p: PhysicalParams) -> np.ndarray:
     """Transfer matrix of the combined panel pair as seen from the hub.
 
@@ -140,8 +67,18 @@ def transfer_beam(omega: float, p: PhysicalParams) -> np.ndarray:
     if abs(omega) < OMEGA_ZERO_THRESHOLD:
         return np.diag([2.0 * p.gamma, 2.0 * p.gamma / 3.0]).astype(complex)
     al = alpha(omega, p)
-    h1, h2, h3, h4, h5, c, s, T, S = _scaled_constants(al)
-    c2w, c3w = _c2w_c3w(h1, h2, h3, h4, h5, c, S)
+    # hk = Ck / cosh(alpha) stay finite where the Ck overflow (Re(alpha) > ~710)
+    T = np.tanh(al)
+    S = _sech(al)
+    c = np.cos(al)
+    s = np.sin(al)
+    h1 = S + c + s * T
+    h2 = 2.0 * (S + c)
+    h3 = T + s * S
+    h4 = c * T - s
+    h5 = 1.0 + c * S
+    c2w = (h2 * c * S - h1 * h5) / (h2 * h3)
+    c3w = h4 / h2
     pref = 4.0 * p.EI * al / (1j * omega)
     return np.diag([pref * al * al * c2w, pref * c3w])
 
@@ -178,7 +115,7 @@ def s_matrix(omega: float, p: PhysicalParams) -> np.ndarray:
     Pb = transfer_beam(omega, p)
     if abs(omega) < OMEGA_ZERO_THRESHOLD:
         if p.gamma == 0.0:
-            raise ValueError("S(0) is undefined for an undamped panel (P_b(0) = 0)")
+            raise RuntimeError("S(0) is undefined for an undamped panel (P_b(0) = 0)")
         return np.diag([p.m / (2.0 * p.gamma), 3.0 * p.I_m / (2.0 * p.gamma)]).astype(complex)
     Pc = transfer_rigid(omega, p)
     Q = np.eye(2) + Pb @ Pc
@@ -192,15 +129,6 @@ def plant_transfer(omega: float, p: PhysicalParams) -> np.ndarray:
     """Transfer matrix of the full satellite on the imaginary axis: C_c S(i w) B_c."""
     Bc = np.diag([1.0 / p.m, 1.0 / p.I_m])
     return s_matrix(omega, p) @ Bc
-
-
-def beam_growth_constant(p: PhysicalParams, omegas) -> float:
-    """Empirical constant M with ||P_b(i w)|| <= M (|w| + 1) over the given grid."""
-    best = 0.0
-    for w in np.asarray(omegas, dtype=float):
-        val = np.linalg.norm(transfer_beam(w, p), 2) / (abs(w) + 1.0)
-        best = max(best, float(val))
-    return best
 
 
 # --- eigenstructure of a single clamped-free panel -------------------------
@@ -254,31 +182,13 @@ class BeamEigenpair:
     beta: float
 
 
-def _scaled_mode_shapes(mu: float, xi: np.ndarray):
-    """Unnormalized mode shapes scaled by 2 e^{-mu}  (finite for any mu).
+def _scaled_mode_derivative(mu: float, xi: np.ndarray, order: int):
+    """order-th spatial derivative of the unnormalized mode shapes scaled by 2 e^{-mu}.
 
-    Returns (fhat, ghat) where the physical pair is
+    Finite for any mu.  Returns (fhat, ghat) where the physical pair is
     f = beta_s fhat,  g = -i beta_s ghat / sqrt(rho a EI)
     with beta_s the scaled normalization constant.
     """
-    cm, sm = math.cos(mu), math.sin(mu)
-    e2m = math.exp(-2.0 * mu)
-    e1m = math.exp(-mu)
-    P = 1.0 + e2m + 2.0 * cm * e1m
-    Q = 1.0 - e2m - 2.0 * sm * e1m
-    expo = (
-        np.exp(-mu * xi)
-        + np.exp(-mu * (2.0 - xi))
-        + (cm + sm) * np.exp(-mu * (1.0 - xi))
-        + (cm - sm) * np.exp(-mu * (1.0 + xi))
-    )
-    fhat = expo - P * np.cos(mu * xi) + Q * np.sin(mu * xi)
-    ghat = expo + P * np.cos(mu * xi) - Q * np.sin(mu * xi)
-    return fhat, ghat
-
-
-def _scaled_mode_derivative(mu: float, xi: np.ndarray, order: int):
-    """order-th spatial derivative of the scaled mode shapes."""
     cm, sm = math.cos(mu), math.sin(mu)
     e2m = math.exp(-2.0 * mu)
     e1m = math.exp(-mu)
@@ -306,7 +216,7 @@ def _mode_normalization(k: int, p: PhysicalParams) -> tuple[float, float]:
     xg, wg = npleg.leggauss(_NORM_QUAD_POINTS)
     xi = 0.5 * (xg + 1.0)
     w = 0.5 * wg
-    fhat, ghat = _scaled_mode_shapes(mu, xi)
+    fhat, ghat = _scaled_mode_derivative(mu, xi, 0)
     nrm2 = float(np.sum(w * (fhat**2 + ghat**2))) / p.rho_a
     return mu, 1.0 / math.sqrt(nrm2)
 
@@ -331,10 +241,7 @@ def beam_eigenfunction(k: int, xi, p: PhysicalParams, order: int = 0):
         raise ValueError("derivative order must be in 0..3")
     mu, beta_s = _mode_normalization(k, p)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if order == 0:
-        fhat, ghat = _scaled_mode_shapes(mu, xi)
-    else:
-        fhat, ghat = _scaled_mode_derivative(mu, xi, order)
+    fhat, ghat = _scaled_mode_derivative(mu, xi, order)
     f = beta_s * fhat
     g = -1j * beta_s * ghat / math.sqrt(p.rho_a * p.EI)
     return f.astype(complex), g

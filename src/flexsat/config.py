@@ -10,7 +10,8 @@ which is what the run manifest relies on.
 
 import configparser
 import io
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -29,6 +30,15 @@ SWEEP_PARAMETERS = ("c1", "c2", "q0", "r0")
 
 # default sweep ranges (lo, hi) per tunable parameter
 SWEEP_RANGES = {"c1": (0.5, 10.0), "c2": (0.5, 10.0), "q0": (1.0, 100.0), "r0": (0.01, 1.0)}
+
+
+def _numbers(value):
+    """Every number in a field value, descending into nested tuples."""
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _numbers(item)
+    elif isinstance(value, (int, float)):
+        yield value
 
 
 @dataclass(frozen=True)
@@ -78,6 +88,9 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not all(math.isfinite(v) for v in _numbers(getattr(self, f.name))):
+                raise ConfigError(f"{f.name} must be finite")
         try:
             self.physical()
         except ValueError as exc:

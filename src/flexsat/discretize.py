@@ -105,7 +105,6 @@ class LinearStateSpace:
     params: PhysicalParams
     basis_left: BeamBasis
     basis_right: BeamBasis
-    mass: np.ndarray          # generalized mass M (coordinate form)
     damping: np.ndarray       # velocity-block damping in state coordinates
     stiffness: np.ndarray     # diagonal of the elastic stiffness Gram
     chol_inv: np.ndarray      # L^{-1} with M = L L^T
@@ -215,7 +214,6 @@ def assemble(p: PhysicalParams, N: int, bd_profiles=None) -> LinearStateSpace:
         params=p,
         basis_left=basis_l,
         basis_right=basis_r,
-        mass=M,
         damping=Dt,
         stiffness=ke,
         chol_inv=W,
@@ -285,6 +283,11 @@ def project_initial_state(profiles: InitialProfiles, ss: LinearStateSpace) -> np
         # qd = M^{-1} b, state block is L^T qd = L^{-1} b
         x[2 * N :] = ss.chol_inv @ b
     return x
+
+
+def spectral_abscissa(A: np.ndarray) -> float:
+    """Largest real part over the eigenvalues of a dense matrix; A is Hurwitz iff it is < 0."""
+    return float(np.max(np.linalg.eigvals(A).real))
 
 
 def shifted_solve(A: np.ndarray, omega: float, rhs: np.ndarray) -> np.ndarray:

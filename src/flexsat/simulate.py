@@ -53,10 +53,6 @@ class SignalSpec:
             sin_coeffs=tuple(map(tuple, sin_c)),
         )
 
-    @classmethod
-    def zero(cls, dim: int, freqs=()) -> "SignalSpec":
-        return cls.create(freqs, np.zeros(dim))
-
     @property
     def dim(self) -> int:
         return len(self.const)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .discretize import LinearStateSpace, shifted_solve
+from .discretize import LinearStateSpace, shifted_solve, spectral_abscissa
 
 CARE_RESIDUAL_RTOL = 1e-8
 SYLVESTER_RESIDUAL_RTOL = 1e-8
@@ -55,7 +55,6 @@ class InternalModel:
     spectrum is {0} plus {+-i w_k}, each with multiplicity 2.
     """
 
-    freqs: tuple
     G1: np.ndarray
     blocks: tuple  # (frequency, slice) per block
     dim: int
@@ -79,7 +78,7 @@ def internal_model(freqs) -> InternalModel:
         G1[sl.start + 2 : sl.stop, sl.start : sl.start + 2] = -f * np.eye(2)
         blocks.append((f, sl))
         pos_idx += 4
-    return InternalModel(freqs=tuple(float(f) for f in freqs), G1=G1, blocks=tuple(blocks), dim=dim)
+    return InternalModel(G1=G1, blocks=tuple(blocks), dim=dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,9 +148,9 @@ def solve_sylvester_H(ss: LinearStateSpace, freqs) -> np.ndarray:
     sqrt(2) Im R_w over sqrt(2) Re R_w.  The plant must be exponentially stable
     so that every shift is regular.
     """
-    margin = np.max(np.linalg.eigvals(ss.A).real)
+    margin = spectral_abscissa(ss.A)
     if margin >= 0.0:
-        raise ValueError(f"plant must be exponentially stable (spectral abscissa {margin:.3e})")
+        raise RuntimeError(f"plant must be exponentially stable (spectral abscissa {margin:.3e})")
     im = internal_model(freqs)
     H = np.empty((im.dim, ss.n))
     s2 = np.sqrt(2.0)
@@ -232,7 +231,7 @@ def care_solve(A, B, Q, R):
     if eigs.min() < -1e-8 * max(eigs.max(), 1.0):
         raise RuntimeError("Riccati solution is not positive semidefinite")
     K = Rinv @ B.T @ P
-    if np.max(np.linalg.eigvals(A - B @ K).real) >= 0.0:
+    if spectral_abscissa(A - B @ K) >= 0.0:
         raise RuntimeError("Riccati gain failed to stabilize A - B K")
     return P, K
 
@@ -342,9 +341,9 @@ def regulation_zero_check(cl: ClosedLoopSystem, freqs) -> dict:
     frequency shows up as an order-one residual.  The closed loop must be
     stable for the values to mean anything, so instability is rejected.
     """
-    margin = np.max(np.linalg.eigvals(cl.Ae).real)
+    margin = spectral_abscissa(cl.Ae)
     if margin >= 0.0:
-        raise ValueError(f"closed loop is not stable (spectral abscissa {margin:.3e})")
+        raise RuntimeError(f"closed loop is not stable (spectral abscissa {margin:.3e})")
     out = {}
     for w in signed_frequencies(freqs):
         G = cl.Ce @ shifted_solve(cl.Ae, w, cl.Be) + cl.De

@@ -123,7 +123,7 @@ def test_criterion_05_structural_identities(params, ss10, default_config):
         vel_top5 = float(np.max(np.linalg.eigvalsh(sym5[nb:, nb:])))
 
         cl = fx.assemble_closed_loop(ss10, fx.zero_controller())
-        yref = fx.SignalSpec.zero(2, (1.0, 2.0))
+        yref = fx.SignalSpec.create((1.0, 2.0), np.zeros(2))
         wd = fx.SignalSpec.create(
             (1.0, 2.0), np.zeros(4),
             cos_coeffs=[[0, 0, 0, 0], [0, 0, 0, 1.0]],

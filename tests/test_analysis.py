@@ -59,7 +59,7 @@ def test_resolvent_scan_lower_bound(ss10):
 
 def test_resolvent_scan_rejects_unstable():
     ss0 = fx.assemble(fx.PhysicalParams(gamma=0.0), 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError):
         analysis.resolvent_norm_scan(ss0, [1.0])
 
 
@@ -147,6 +147,10 @@ def test_sweep_rejects_empty_grid(default_config):
         analysis.sweep(default_config, "c1", [])
     with pytest.raises(ValueError):
         analysis.sweep(default_config, "c1", [3.0, 2.0])
+    with pytest.raises(ValueError):
+        analysis.sweep(default_config, "c1", [np.nan, 1.0, 2.0])
+    with pytest.raises(ValueError):
+        analysis.sweep(default_config, "c1", [1.0, np.inf])
 
 
 def test_sweep_rejects_inapplicable_parameter(default_config):

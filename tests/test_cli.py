@@ -57,9 +57,20 @@ def test_validate_solves_sylvester_and_care_once(tmp_path, monkeypatch, capsys, 
 
 def test_validate_bad_config_exits_2(tmp_path):
     path = tmp_path / "bad.ini"
-    path.write_text("[physical]\nm = -1.0\n")
-    rc = cli.main(["--config", str(path), "validate"])
-    assert rc == 2
+    for text, command in (("[physical]\nm = -1.0\n", "validate"),
+                          ("[simulation]\nt_final = inf\n", "simulate"),
+                          ("[physical]\ngamma = nan\n", "validate"),
+                          ("[simulation]\ndt = nan\n", "validate")):
+        path.write_text(text)
+        rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"), command])
+        assert rc == 2, text
+
+
+def test_undamped_model_failures_exit_1(tmp_path):
+    # the undamped plant is a valid config but leaves the observer and S(0) undefined
+    path, _ = write_config(tmp_path, gamma=0.0, n_basis=6, controller_kind="observer")
+    assert cli.main(["--config", str(path), "--out", str(tmp_path / "x"), "simulate"]) == 1
+    assert cli.main(["--config", str(path), "--out", str(tmp_path / "x"), "analyze"]) == 1
 
 
 def test_missing_config_file_exits_2(tmp_path):
@@ -163,6 +174,9 @@ def test_sweep_empty_grid_exits_2(tmp_path):
     path, _ = write_config(tmp_path)
     rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"),
                    "sweep", "--param", "c1", "--grid", "1:2:0"])
+    assert rc == 2
+    rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"),
+                   "sweep", "--param", "c1", "--grid", "nan:1:3"])
     assert rc == 2
 
 

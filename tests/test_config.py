@@ -82,6 +82,10 @@ def test_validation_errors():
         RunConfig(initial_profile="unknown_preset")
     with pytest.raises(ConfigError):
         RunConfig(sweep_scale="cubic")
+    for name, value in (("t_final", np.inf), ("gamma", np.nan), ("dt", np.nan),
+                        ("frequencies", (0.0, 1.0, 2.0, np.inf)), ("wd_const", (0.0, 0.0, np.nan, 1.0))):
+        with pytest.raises(ConfigError, match=name):
+            RunConfig(**{name: value})
 
 
 def test_parse_rejects_unknown_structure():

@@ -37,7 +37,7 @@ def test_eval_signal_reference_values():
 
 
 def test_eval_signal_zero():
-    z = fx.SignalSpec.zero(4)
+    z = fx.SignalSpec.create((), np.zeros(4))
     assert np.allclose(fx.eval_signal(z, 3.2), np.zeros(4), atol=0.0)
 
 
@@ -194,8 +194,8 @@ def test_propagate_reference_loops_match_step_loop(default_config, passive_loop)
 
 
 def test_integrate_zero_inputs_zero_state(passive_loop):
-    yref = fx.SignalSpec.zero(2, (1.0, 2.0, 5.0))
-    wd = fx.SignalSpec.zero(4, (1.0, 2.0, 5.0))
+    yref = fx.SignalSpec.create((1.0, 2.0, 5.0), np.zeros(2))
+    wd = fx.SignalSpec.create((1.0, 2.0, 5.0), np.zeros(4))
     trace = fx.integrate(passive_loop, np.zeros(passive_loop.n), yref, wd, 1.0, 0.01)
     assert np.max(np.abs(trace.y)) == 0.0
     assert np.max(np.abs(trace.e)) == 0.0
@@ -208,8 +208,8 @@ def test_integrate_autonomous_energy_decay(ss10, default_config):
     # the end (exponential stability of the assembled model)
     cl = fx.assemble_closed_loop(ss10, fx.zero_controller())
     x0 = fx.project_initial_state(default_config.initial_profiles(), ss10)
-    yref = fx.SignalSpec.zero(2)
-    wd = fx.SignalSpec.zero(4)
+    yref = fx.SignalSpec.create((), np.zeros(2))
+    wd = fx.SignalSpec.create((), np.zeros(4))
     trace = fx.integrate(cl, x0, yref, wd, 15.0, 0.005)
     diffs = np.diff(trace.energy)
     assert np.all(diffs <= 1e-12 * trace.energy[0])
@@ -230,14 +230,14 @@ def test_integrate_grid_invariance(passive_loop, default_config):
 
 
 def test_integrate_validates_inputs(passive_loop):
-    yref = fx.SignalSpec.zero(2, (1.0,))
-    wd_wrong = fx.SignalSpec.zero(4, (2.0,))
+    yref = fx.SignalSpec.create((1.0,), np.zeros(2))
+    wd_wrong = fx.SignalSpec.create((2.0,), np.zeros(4))
     with pytest.raises(ValueError):
         fx.integrate(passive_loop, np.zeros(passive_loop.n), yref, wd_wrong, 1.0, 0.01)
-    wd3 = fx.SignalSpec.zero(3, (1.0,))
+    wd3 = fx.SignalSpec.create((1.0,), np.zeros(3))
     with pytest.raises(ValueError):
         fx.integrate(passive_loop, np.zeros(passive_loop.n), yref, wd3, 1.0, 0.01)
-    wd = fx.SignalSpec.zero(4, (1.0,))
+    wd = fx.SignalSpec.create((1.0,), np.zeros(4))
     with pytest.raises(ValueError):
         fx.integrate(passive_loop, np.zeros(3), yref, wd, 1.0, 0.01)
 
@@ -246,7 +246,7 @@ def test_energy_balance_forced_run(ss10, default_config):
     # inject sinusoidal forces through the hub disturbance channels and close
     # the discrete energy balance: E(T) - E(0) = int u.y - int v.D v
     cl = fx.assemble_closed_loop(ss10, fx.zero_controller())
-    yref = fx.SignalSpec.zero(2, (1.0, 2.0))
+    yref = fx.SignalSpec.create((1.0, 2.0), np.zeros(2))
     wd = fx.SignalSpec.create(
         (1.0, 2.0),
         np.zeros(4),
