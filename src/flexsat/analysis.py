@@ -122,7 +122,12 @@ def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
 
     Unstable closed loops and synthesis failures are flagged in ``stable``
     and carry NaN metrics; the sweep always completes.  Work that depends on
-    the plant alone (initial state, observer Sylvester solution) is done once.
+    the plant alone (initial state, observer Sylvester solution, plant
+    margin) is done once.  A passive point's margin is that of the full
+    closed loop.  An observer loop's spectrum is spec(A) twice with that of
+    the servo matrix G1 + B1 K1 (see ObserverSynthesis), so an observer
+    point's margin is the smaller of the plant and servo margins, and no
+    point takes an eigenvalue decomposition larger than the plant.
     ``cfg.workers`` threads run the points (0: one per core).
     """
     grid = np.asarray(grid, dtype=float)
@@ -147,6 +152,7 @@ def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
         except (RuntimeError, ValueError):
             nan = np.full(grid.size, np.nan)
             return SweepResult(parameter, grid, nan, nan.copy(), np.zeros(grid.size, dtype=bool))
+        plant_margin = stability_margin(ss.A)
 
     def run_point(value: float):
         try:
@@ -154,9 +160,13 @@ def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
             if H is None:
                 ctrl = controller_from_config(point, ss)
             else:
-                ctrl = observer_synthesis(ss, point.frequencies, point.q0, point.r0, H).controller
+                syn = observer_synthesis(ss, point.frequencies, point.q0, point.r0, H)
+                ctrl = syn.controller
             cl = assemble_closed_loop(ss, ctrl)
-            margin = stability_margin(cl.Ae)
+            if H is None:
+                margin = stability_margin(cl.Ae)
+            else:
+                margin = min(plant_margin, stability_margin(syn.servo))
             if margin <= 0.0:
                 return np.nan, np.nan, False
             x0 = np.concatenate([x0_plant, np.zeros(ctrl.n_c)])

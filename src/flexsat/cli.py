@@ -47,6 +47,8 @@ def _parse_grid(text: str) -> np.ndarray:
         n = int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"bad grid specification {text!r}") from exc
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ConfigError(f"grid bounds must be finite, got {text!r}")
     if n < 1:
         raise ConfigError(f"grid needs at least one point, got n={n}")
     if len(parts) == 4:
@@ -281,6 +283,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except np.linalg.LinAlgError as exc:  # a ValueError subclass, but a model failure
+        print(f"runtime failure: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

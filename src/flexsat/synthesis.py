@@ -241,13 +241,18 @@ class ObserverSynthesis:
     """Observer controller with the Riccati data it was built from, for residual checks.
 
     P solves the Riccati equation of the servocompensator (G1, B1 = H B) with
-    weights q0 I and r0 I.
+    weights q0 I and r0 I, and servo = G1 + B1 K1 is the Hurwitz matrix its
+    gain closes.  Since K2 = K1 H and the plant copy has no error injection,
+    the closed loop with the nominal plant is block-triangular in the
+    coordinates (x - xhat, z1 + H xhat, xhat), so its spectrum is spec(A)
+    twice together with spec(servo).
     """
 
     controller: ControllerRealization
     G1: np.ndarray
     B1: np.ndarray
     P: np.ndarray
+    servo: np.ndarray
 
 
 def observer_synthesis(ss: LinearStateSpace, freqs, q0: float, r0: float, H: np.ndarray) -> ObserverSynthesis:
@@ -271,7 +276,8 @@ def observer_synthesis(ss: LinearStateSpace, freqs, q0: float, r0: float, H: np.
             raise RuntimeError(f"plant transfer value at omega = {f} is singular; cannot stabilize")
 
     P, Klqr = care_solve(im.G1, B1, q0 * np.eye(im.dim), r0 * np.eye(2))
-    K1 = -Klqr  # care_solve has checked that G1 - B1 Klqr = G1 + B1 K1 is Hurwitz
+    K1 = -Klqr
+    servo = im.G1 + B1 @ K1  # care_solve has checked that it is Hurwitz
     K2 = K1 @ H
 
     n = ss.n
@@ -283,7 +289,7 @@ def observer_synthesis(ss: LinearStateSpace, freqs, q0: float, r0: float, H: np.
     G2 = np.vstack([_observer_G2(im), np.zeros((n, 2))])
     K = np.hstack([K1, K2])
     ctrl = ControllerRealization(G1=G1, G2=G2, K=K, kappa=np.zeros((2, 2)))
-    return ObserverSynthesis(controller=ctrl, G1=im.G1, B1=B1, P=P)
+    return ObserverSynthesis(controller=ctrl, G1=im.G1, B1=B1, P=P, servo=servo)
 
 
 def build_observer_controller(ss: LinearStateSpace, freqs, q0: float, r0: float) -> ControllerRealization:

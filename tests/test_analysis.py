@@ -124,6 +124,68 @@ def test_sweep_solves_sylvester_once(default_config, monkeypatch, kind, paramete
     assert len(calls) == solves
 
 
+def _observer_point(cfg):
+    """Plant, synthesis and closed loop of an observer config, built point by point."""
+    ss = analysis.plant_from_config(cfg)
+    H = fx.solve_sylvester_H(ss, cfg.frequencies)
+    syn = fx.synthesis.observer_synthesis(ss, cfg.frequencies, cfg.q0, cfg.r0, H)
+    return ss, syn, fx.assemble_closed_loop(ss, syn.controller)
+
+
+@pytest.mark.parametrize("n_basis", [10, 20])
+def test_observer_sweep_margin_is_separation_margin(default_config, n_basis):
+    # spec(Ae) = spec(A) twice with spec(G1 + B1 K1); on the reference plant
+    # the servo spectrum binds, and the full eig of Ae agrees
+    cfg = default_config.with_overrides(controller_kind="observer", n_basis=n_basis, workers=1)
+    ss, syn, cl = _observer_point(cfg)
+    res = analysis.sweep(cfg, "r0", [cfg.r0])
+    servo_margin = analysis.stability_margin(syn.servo)
+    assert servo_margin < analysis.stability_margin(ss.A)
+    assert res.margin[0] == servo_margin
+    assert res.margin[0] == pytest.approx(analysis.stability_margin(cl.Ae), rel=1e-11)
+
+
+def test_observer_sweep_margins_match_full_eig(default_config):
+    cfg = default_config.with_overrides(controller_kind="observer", workers=1)
+    grid = [0.05, 0.1, 0.2]
+    res = analysis.sweep(cfg, "r0", grid)
+    full = [analysis.stability_margin(_observer_point(cfg.with_overrides(r0=r0))[2].Ae) for r0 in grid]
+    assert res.stable.all()
+    np.testing.assert_allclose(res.margin, full, rtol=1e-11, atol=0.0)
+    assert np.unique(res.margin).size == len(grid)
+
+
+def test_observer_sweep_margin_binds_on_plant(default_config):
+    # weak damping puts the plant spectrum, doubled in Ae, to the right of the
+    # servo spectrum; the double eigenvalue splits by about sqrt(eps) in a
+    # full eig of Ae, so the separation margin is the plant margin itself
+    cfg = default_config.with_overrides(controller_kind="observer", gamma=0.1, workers=1)
+    ss, syn, cl = _observer_point(cfg)
+    plant_margin = analysis.stability_margin(ss.A)
+    assert plant_margin < analysis.stability_margin(syn.servo)
+    res = analysis.sweep(cfg, "r0", [cfg.r0])
+    assert res.margin[0] == plant_margin
+    assert res.margin[0] == pytest.approx(analysis.stability_margin(cl.Ae), rel=1e-5)
+
+
+def test_observer_sweep_takes_no_closed_loop_eig(default_config, monkeypatch):
+    sizes = []
+    abscissa = fx.discretize.spectral_abscissa
+
+    def counting(A):
+        sizes.append(A.shape[0])
+        return abscissa(A)
+
+    for module in (fx.discretize, analysis, fx.synthesis):
+        monkeypatch.setattr(module, "spectral_abscissa", counting)
+    cfg = default_config.with_overrides(controller_kind="observer", workers=1)
+    n = analysis.plant_from_config(cfg).n
+    res = analysis.sweep(cfg, "r0", [0.05, 0.1, 0.2])
+    assert res.stable.all()
+    assert max(sizes) == n
+    assert sizes.count(n) == 2  # the Sylvester solve's stability check and the plant margin
+
+
 def test_sweep_runs_concurrently(default_config):
     grid = [2.0, 2.5, 3.0]
     seq = analysis.sweep(default_config.with_overrides(workers=1), "c1", grid)

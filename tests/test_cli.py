@@ -73,6 +73,20 @@ def test_undamped_model_failures_exit_1(tmp_path):
     assert cli.main(["--config", str(path), "--out", str(tmp_path / "x"), "analyze"]) == 1
 
 
+def test_linear_algebra_failure_exits_1(tmp_path, monkeypatch, capsys):
+    # np.linalg.LinAlgError subclasses ValueError but is a model failure, not a config error
+    from flexsat import analysis
+
+    def diverge(A):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(analysis, "spectral_abscissa", diverge)
+    path, _ = write_config(tmp_path, n_basis=6)
+    rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"), "analyze"])
+    assert rc == 1
+    assert "runtime failure: Eigenvalues did not converge" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_2(tmp_path):
     rc = cli.main(["--config", str(tmp_path / "nope.ini"), "validate"])
     assert rc == 2
@@ -175,9 +189,10 @@ def test_sweep_empty_grid_exits_2(tmp_path):
     rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"),
                    "sweep", "--param", "c1", "--grid", "1:2:0"])
     assert rc == 2
-    rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"),
-                   "sweep", "--param", "c1", "--grid", "nan:1:3"])
-    assert rc == 2
+    for grid in ("nan:1:3", "inf:1:3", "1:inf:3:log"):
+        rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"),
+                       "sweep", "--param", "c1", "--grid", grid])
+        assert rc == 2, grid
 
 
 def test_sweep_inapplicable_parameter_exits_2(tmp_path):

@@ -211,6 +211,7 @@ def test_integrate_autonomous_energy_decay(ss10, default_config):
     yref = fx.SignalSpec.create((), np.zeros(2))
     wd = fx.SignalSpec.create((), np.zeros(4))
     trace = fx.integrate(cl, x0, yref, wd, 15.0, 0.005)
+    assert trace.energy[0] == pytest.approx(ss10.energy(x0), rel=1e-14)
     diffs = np.diff(trace.energy)
     assert np.all(diffs <= 1e-12 * trace.energy[0])
     assert trace.energy[-1] < trace.energy[0]
