@@ -17,10 +17,11 @@ import numpy as np
 from . import analytic
 from .config import RunConfig
 from .discretize import LinearStateSpace, assemble, galerkin_transfer, project_initial_state, spectral_abscissa
-from .simulate import SimulationTrace, error_metrics, integrate, write_csv
+from .simulate import SimulationTrace, integrate, integrated_square_error, tracking_error, write_csv
 from .synthesis import (
     ClosedLoopSystem,
     ControllerRealization,
+    ObserverSynthesis,
     assemble_closed_loop,
     build_observer_controller,
     build_passive_controller,
@@ -32,6 +33,17 @@ from .synthesis import (
 def stability_margin(A: np.ndarray) -> float:
     """Decay exponent of the dynamics: minus the spectral abscissa."""
     return -spectral_abscissa(A)
+
+
+def separation_margin(plant_margin: float, syn: ObserverSynthesis) -> float:
+    """Margin of an observer loop closed around the plant its synthesis was built on.
+
+    That loop's spectrum is spec(A) twice together with spec(syn.servo) (see
+    ObserverSynthesis), so its margin is the smaller of the plant margin and
+    the servo margin, with no eigenvalue decomposition of the closed loop: a
+    full eig of Ae splits the doubled plant spectrum by about sqrt(eps).
+    """
+    return min(plant_margin, stability_margin(syn.servo))
 
 
 def resolvent_norm_scan(ss: LinearStateSpace, omegas) -> np.ndarray:
@@ -127,8 +139,11 @@ def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
     closed loop.  An observer loop's spectrum is spec(A) twice with that of
     the servo matrix G1 + B1 K1 (see ObserverSynthesis), so an observer
     point's margin is the smaller of the plant and servo margins, and no
-    point takes an eigenvalue decomposition larger than the plant.
-    ``cfg.workers`` threads run the points (0: one per core).
+    point takes an eigenvalue decomposition larger than the plant
+    (separation_margin).  A stable point propagates only the two rows of its
+    tracking error (tracking_error), not the state history, and integrates
+    ||e||^2 with error_metrics's formula.  ``cfg.workers`` threads run the
+    points (0: one per core).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -163,15 +178,12 @@ def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
                 syn = observer_synthesis(ss, point.frequencies, point.q0, point.r0, H)
                 ctrl = syn.controller
             cl = assemble_closed_loop(ss, ctrl)
-            if H is None:
-                margin = stability_margin(cl.Ae)
-            else:
-                margin = min(plant_margin, stability_margin(syn.servo))
+            margin = stability_margin(cl.Ae) if H is None else separation_margin(plant_margin, syn)
             if margin <= 0.0:
                 return np.nan, np.nan, False
             x0 = np.concatenate([x0_plant, np.zeros(ctrl.n_c)])
-            trace = integrate(cl, x0, cfg.yref_spec(), cfg.wd_spec(), cfg.t_final, cfg.dt)
-            return margin, error_metrics(trace).l2sq, True
+            t, e = tracking_error(cl, x0, cfg.yref_spec(), cfg.wd_spec(), cfg.t_final, cfg.dt)
+            return margin, integrated_square_error(t, e), True
         except (RuntimeError, ValueError):
             return np.nan, np.nan, False
 

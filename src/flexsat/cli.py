@@ -164,7 +164,10 @@ def cmd_validate(cfg: RunConfig) -> int:
         else:
             ctrl = analysis.controller_from_config(cfg, ss)
         cl = assemble_closed_loop(ss, ctrl)
-        cl_margin = analysis.stability_margin(cl.Ae)
+        if cfg.controller_kind == "observer":
+            cl_margin = analysis.separation_margin(margin, syn)
+        else:
+            cl_margin = analysis.stability_margin(cl.Ae)
         rep.add("closed_loop_margin", "pass" if cl_margin > 0.0 else "fail",
                 f"{cfg.controller_kind}: margin = {cl_margin:.6f}")
         if cl_margin > 0.0:
@@ -202,7 +205,13 @@ def cmd_analyze(cfg: RunConfig, out_dir: str) -> int:
 def cmd_simulate(cfg: RunConfig, out_dir: str, perturb: dict | None) -> int:
     """Closed-loop run with the configured controller; optional plant perturbation."""
     ss_nominal = analysis.plant_from_config(cfg)
-    ctrl = analysis.controller_from_config(cfg, ss_nominal)
+    syn = None
+    if cfg.controller_kind == "observer":
+        H = solve_sylvester_H(ss_nominal, cfg.frequencies)
+        syn = observer_synthesis(ss_nominal, cfg.frequencies, cfg.q0, cfg.r0, H)
+        ctrl = syn.controller
+    else:
+        ctrl = analysis.controller_from_config(cfg, ss_nominal)
     if perturb:
         p_run = cfg.physical().scaled(**perturb)
         ss_run = assemble(p_run, cfg.n_basis, cfg.bd_profiles())
@@ -210,7 +219,10 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, perturb: dict | None) -> int:
     else:
         ss_run = ss_nominal
     cl = assemble_closed_loop(ss_run, ctrl)
-    margin = analysis.stability_margin(cl.Ae)
+    if syn is None or perturb:  # on a perturbed plant the separation structure is lost
+        margin = analysis.stability_margin(cl.Ae)
+    else:
+        margin = analysis.separation_margin(analysis.stability_margin(ss_run.A), syn)
     if margin <= 0.0:
         print(f"closed loop unstable: stability margin = {margin:.6e}", file=sys.stderr)
         return EXIT_RUNTIME

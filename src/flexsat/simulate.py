@@ -4,7 +4,10 @@ The closed loop driven by constant-plus-sinusoidal references and
 disturbances is autonomous once the signal generator is appended to the
 state, so trajectories are computed from a single matrix exponential, applied
 in blocks of its precomputed powers: there is no time-discretization error at
-the grid points beyond the exponential's own backward error.
+the grid points beyond the exponential's own backward error.  The propagator
+returns only the linear outputs its caller reads (the trace's plant state,
+error and control for integrate, the two error rows for tracking_error),
+never the augmented state history.
 """
 
 import math
@@ -139,43 +142,53 @@ def matrix_exponential(M: np.ndarray) -> np.ndarray:
     return E
 
 
-def propagate_autonomous(A: np.ndarray, x0: np.ndarray, T: float, dt: float) -> tuple:
-    """Grid times and states of xd = A x from one exact exponential step phi = exp(A dt).
+def propagate_autonomous(A: np.ndarray, x0: np.ndarray, T: float, dt: float, C: np.ndarray) -> tuple:
+    """Grid times and outputs Y[k] = C x_k of xd = A x from one exact step phi = exp(A dt).
 
-    The steps are taken in blocks: with the powers phi^1 .. phi^B precomputed,
-    the block starts x_{kB} = phi^B x_{(k-1)B} are chained by matvecs, and
-    every state inside a block, phi^j x_{kB}, comes from one matrix product
-    over all blocks.  Each state is still exact at its grid point.  A power
-    phi^j that overflows makes its rows non-finite even when x0 has no
-    component along the growing mode, so that case raises as a blow-up.
+    The steps are taken in blocks: the block starts x_{kB} = phi^B x_{(k-1)B}
+    are chained by matvecs, and every output inside a block, C phi^j x_{kB},
+    comes from one matrix product of the starts with the small table
+    (C phi^j)^T, j = 1 .. B.  Each output is still exact at its grid point,
+    and no state history is built: the caller asks for the rows it reads
+    (``np.eye(n)`` gives the states).  A non-finite output or block start
+    raises as a blow-up, so a growing mode that C does not see is still
+    caught, at the next block start.  An overflowing power phi^B raises even
+    when x0 has no component along the growing mode.
     """
     if dt <= 0.0 or T < dt:
         raise ValueError(f"need dt > 0 and T >= dt, got dt={dt!r}, T={T!r}")
     nt = int(round(T / dt)) + 1
     n = A.shape[0]
+    m = C.shape[0]
     nb = -(-(nt - 1) // _BLOCK)
     phi = matrix_exponential(A * dt)
-    # pt[:, j, :] = (phi^(j+1))^T, so a row x^T @ pt[:, j, :] is (phi^(j+1) x)^T
-    pt = np.empty((n, _BLOCK, n))
-    xs = np.empty((1 + nb * _BLOCK, n))
-    xs[0] = x0
+    # table[:, j, :] = (C phi^(j+1))^T, so a row x^T @ table[:, j, :] is (C phi^(j+1) x)^T
+    table = np.empty((n, _BLOCK, m))
+    ys = np.empty((1 + nb * _BLOCK, m))
     starts = np.empty((nb, n))
     starts[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
-        pt[:, 0, :] = phi.T
-        for j in range(1, _BLOCK):
-            np.matmul(pt[:, j - 1, :], phi.T, out=pt[:, j, :])
-        phi_block = pt[:, -1, :].T
+        ys[0] = C @ x0
+        c = C
+        for j in range(_BLOCK):
+            c = c @ phi
+            table[:, j, :] = c.T
+        # (phi^B)^T chained as phi^(j+1) = phi phi^j: three squarings round differently,
+        # and the block starts carry that rounding through every later output
+        pt = phi.T.copy()
+        for _ in range(_BLOCK - 1):
+            pt = pt @ phi.T
         for k in range(1, nb):
-            starts[k] = phi_block @ starts[k - 1]
-        # writes straight into xs: row k of the product is steps kB+1 .. kB+B
-        np.matmul(starts, pt.reshape(n, _BLOCK * n), out=xs[1:].reshape(nb, _BLOCK * n))
-    xs = xs[:nt]
-    bad = ~np.isfinite(xs).all(axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
+            starts[k] = pt.T @ starts[k - 1]
+        # writes straight into ys: row k of the product is steps kB+1 .. kB+B
+        np.matmul(starts, table.reshape(n, _BLOCK * m), out=ys[1:].reshape(nb, _BLOCK * m))
+    ys = ys[:nt]
+    bad = np.concatenate([np.flatnonzero(~np.isfinite(ys).all(axis=1)),
+                          _BLOCK * np.flatnonzero(~np.isfinite(starts).all(axis=1))])
+    if bad.size:
+        i = int(bad.min())
         raise RuntimeError(f"state became non-finite at step {i} (t = {i * dt:.6g})")
-    return dt * np.arange(nt), xs
+    return dt * np.arange(nt), ys
 
 
 def write_csv(path, header, rows) -> None:
@@ -230,6 +243,22 @@ def _exosystem(yref: SignalSpec, wd: SignalSpec):
     return S, v0, E
 
 
+def _augment(cl: ClosedLoopSystem, x0: np.ndarray, yref: SignalSpec, wd: SignalSpec) -> tuple:
+    """The closed loop with the signal generator appended: (A_aug, initial state, E)."""
+    if yref.dim != 2 or wd.dim != 4:
+        raise ValueError("reference must have 2 channels and disturbance 4")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (cl.n,):
+        raise ValueError(f"initial state must have length {cl.n}, got {x0.shape}")
+    S, v0, E = _exosystem(yref, wd)
+    ne, nw = cl.n, S.shape[0]
+    A_aug = np.zeros((ne + nw, ne + nw))
+    A_aug[:ne, :ne] = cl.Ae
+    A_aug[:ne, ne:] = cl.Be @ E
+    A_aug[ne:, ne:] = S
+    return A_aug, np.concatenate([x0, v0]), E
+
+
 def integrate(
     cl: ClosedLoopSystem,
     x0: np.ndarray,
@@ -242,32 +271,40 @@ def integrate(
 
     The exogenous generator is appended to the closed-loop state and the
     combined autonomous system is stepped with a single precomputed matrix
-    exponential; the scheme is exact at the grid points.  ``x0`` is the
-    extended initial state (plant then controller).
+    exponential; the scheme is exact at the grid points.  Only the rows the
+    trace reads are propagated: the plant state (for y and the energy), the
+    error map [Ce, De E] and the control map.  ``x0`` is the extended initial
+    state (plant then controller).
     """
-    if yref.dim != 2 or wd.dim != 4:
-        raise ValueError("reference must have 2 channels and disturbance 4")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (cl.n,):
-        raise ValueError(f"initial state must have length {cl.n}, got {x0.shape}")
-    S, v0, E = _exosystem(yref, wd)
-    ne, nw = cl.n, S.shape[0]
-    A_aug = np.zeros((ne + nw, ne + nw))
-    A_aug[:ne, :ne] = cl.Ae
-    A_aug[:ne, ne:] = cl.Be @ E
-    A_aug[ne:, ne:] = S
-    t, xs = propagate_autonomous(A_aug, np.concatenate([x0, v0]), T, dt)
-
-    xe = xs[:, :ne]
-    ue = xs[:, ne:] @ E.T
-    e = xe @ cl.Ce.T + ue @ cl.De.T
+    A_aug, x0_aug, E = _augment(cl, x0, yref, wd)
     n = cl.plant.n
-    y = xe[:, :n] @ cl.plant.C.T
-    z = xe[:, n:]
-    u = z @ cl.controller.K.T - e @ cl.controller.kappa.T
-    xp = xe[:, :n]
+    error_map = np.hstack([cl.Ce, cl.De @ E])
+    control_map = np.zeros_like(error_map)  # u = K z - kappa e
+    control_map[:, n : cl.n] = cl.controller.K
+    control_map -= cl.controller.kappa @ error_map
+    C = np.vstack([np.eye(n, A_aug.shape[0]), error_map, control_map])
+    t, ys = propagate_autonomous(A_aug, x0_aug, T, dt, C)
+    xp = ys[:, :n]
     energy = 0.5 * np.einsum("ij,ij->i", xp, xp)  # the plant's energy Gram H is the identity
-    return SimulationTrace(t=t, y=y, e=e, u=u, energy=energy)
+    return SimulationTrace(t=t, y=xp @ cl.plant.C.T, e=ys[:, n : n + 2], u=ys[:, n + 2 :], energy=energy)
+
+
+def tracking_error(
+    cl: ClosedLoopSystem,
+    x0: np.ndarray,
+    yref: SignalSpec,
+    wd: SignalSpec,
+    T: float,
+    dt: float,
+) -> tuple:
+    """Grid times and tracking error e of integrate's run, propagating only e's two rows."""
+    A_aug, x0_aug, E = _augment(cl, x0, yref, wd)
+    return propagate_autonomous(A_aug, x0_aug, T, dt, np.hstack([cl.Ce, cl.De @ E]))
+
+
+def integrated_square_error(t: np.ndarray, e: np.ndarray) -> float:
+    """Trapezoidal integral of ||e||^2 over the grid t."""
+    return float(np.trapezoid(np.linalg.norm(e, axis=1) ** 2, t))
 
 
 @dataclass(frozen=True)
@@ -288,8 +325,8 @@ def error_metrics(trace: SimulationTrace) -> ErrorMetrics:
     """
     if trace.t.size == 0:
         raise ValueError("empty trace")
+    l2sq = integrated_square_error(trace.t, trace.e)
     nrm = np.linalg.norm(trace.e, axis=1)
-    l2sq = float(np.trapezoid(nrm**2, trace.t))
     half = trace.t >= 0.5 * trace.t[-1]
     tail_t = trace.t[half]
     tail = nrm[half]

@@ -136,7 +136,7 @@ def test_criterion_05_structural_identities(params, ss10, default_config):
         A_aug[:ne, :ne] = cl.Ae
         A_aug[:ne, ne:] = cl.Be @ E
         A_aug[ne:, ne:] = S
-        t, xs = fx.propagate_autonomous(A_aug, np.concatenate([x0, v0]), 15.0, 0.005)
+        t, xs = fx.propagate_autonomous(A_aug, np.concatenate([x0, v0]), 15.0, 0.005, np.eye(ne + nw))
         xp = xs[:, : ss10.n]
         vel = xp[:, nb:]
         u_inj = (xs[:, ne:] @ E.T)[:, 2:4]
@@ -300,10 +300,10 @@ def test_criterion_11_integrator_exactness():
         lam = np.array([-0.5, -1.0, -2.0, -3.5])
         A = Q @ np.diag(lam) @ Q.T
         x0 = np.array([1.0, -2.0, 0.5, 0.25])
-        t, xs = fx.propagate_autonomous(A, x0, 2.0, 0.01)
+        t, xs = fx.propagate_autonomous(A, x0, 2.0, 0.01, np.eye(4))
         want = np.einsum("ij,tj,kj,k->ti", Q, np.exp(np.outer(t, lam)), Q, x0)
         exact_err = float(np.max(np.abs(xs - want)))
-        _, fine = fx.propagate_autonomous(A, x0, 2.0, 0.005)
+        _, fine = fx.propagate_autonomous(A, x0, 2.0, 0.005, np.eye(4))
         halving_dev = float(np.max(np.abs(xs - fine[::2])))
     ok = exact_err < 1e-10 and halving_dev < 1e-10 and tm.elapsed < 1.0
     msg = report(11, ok, f"closed-form error {exact_err:.2e}, dt-halving deviation "

@@ -79,13 +79,31 @@ def test_sweep_single_point_matches_direct(default_config, ss10, passive_loop, p
 
 
 def test_sweep_observer_single_point_matches_direct(default_config, ss10):
+    # the sweep propagates only the error rows; integrate propagates the trace's
+    for kind, parameter, value in (("observer", "r0", 0.1), ("passive", "c1", 2.5)):
+        cfg = default_config.with_overrides(controller_kind=kind, workers=1, **{parameter: value})
+        res = analysis.sweep(cfg, parameter, [value])
+        cl = fx.assemble_closed_loop(ss10, analysis.controller_from_config(cfg, ss10))
+        trace = analysis.simulate_from_config(cfg, cl)
+        assert res.stable[0]
+        assert res.margin[0] == pytest.approx(analysis.stability_margin(cl.Ae), rel=1e-10)
+        assert res.l2sq[0] == pytest.approx(fx.error_metrics(trace).l2sq, rel=1e-12)
+
+
+def test_sweep_propagates_error_rows_only(default_config, monkeypatch):
+    # no sweep point builds a state history: each propagation returns e's two rows
+    rows = []
+    propagate = fx.simulate.propagate_autonomous
+
+    def counting(A, x0, T, dt, C):
+        rows.append(C.shape[0])
+        return propagate(A, x0, T, dt, C)
+
+    monkeypatch.setattr(fx.simulate, "propagate_autonomous", counting)
     cfg = default_config.with_overrides(controller_kind="observer", workers=1)
-    res = analysis.sweep(cfg, "r0", [0.1])
-    cl = fx.assemble_closed_loop(ss10, analysis.controller_from_config(cfg, ss10))
-    trace = analysis.simulate_from_config(cfg, cl)
-    assert res.stable[0]
-    assert res.margin[0] == pytest.approx(analysis.stability_margin(cl.Ae), rel=1e-10)
-    assert res.l2sq[0] == pytest.approx(fx.error_metrics(trace).l2sq, rel=1e-10)
+    res = analysis.sweep(cfg, "r0", [0.05, 0.1, 0.2])
+    assert res.stable.all()
+    assert rows == [2, 2, 2]
 
 
 def test_sweep_projects_initial_state_once(default_config, monkeypatch):

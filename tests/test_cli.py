@@ -116,6 +116,36 @@ def test_simulate_observer_configuration(tmp_path):
     assert margin > 0.0 and decay < 0.0
 
 
+def test_observer_margin_from_separation_structure(tmp_path, monkeypatch):
+    # unperturbed simulate and validate take the observer loop's margin as
+    # min(plant, servo): on the reference it agrees with the full eig of Ae,
+    # and at gamma = 0.1, where the plant binds, it is the plant margin itself
+    import flexsat as fx
+    from flexsat import analysis
+
+    margins = []
+    separation = analysis.separation_margin
+
+    def recording(*args):
+        margins.append(separation(*args))
+        return margins[-1]
+
+    monkeypatch.setattr(analysis, "separation_margin", recording)
+    for gamma in (5.0, 0.1):
+        path, cfg = write_config(tmp_path, controller_kind="observer", gamma=gamma)
+        out = tmp_path / f"gamma{gamma}"
+        assert cli.main(["--config", str(path), "--out", str(out), "simulate"]) == 0
+        assert cli.main(["--config", str(path), "validate"]) == 0
+        margin = np.loadtxt(out / "summary.csv", delimiter=",", skiprows=1)[0]
+        assert margins[-2:] == [margin, margin]
+        ss = analysis.plant_from_config(cfg)
+        if gamma == 0.1:
+            assert margin == analysis.stability_margin(ss.A)
+        else:
+            cl = fx.assemble_closed_loop(ss, analysis.controller_from_config(cfg, ss))
+            assert margin == pytest.approx(analysis.stability_margin(cl.Ae), rel=1e-11)
+
+
 def test_manifest_roundtrip(tmp_path):
     path, cfg = write_config(tmp_path, c1=3.25, seed=17)
     out = tmp_path / "run"

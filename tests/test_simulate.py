@@ -5,7 +5,7 @@ import pytest
 
 import flexsat as fx
 from flexsat import analysis
-from flexsat.simulate import _exosystem
+from flexsat.simulate import _augment
 
 
 def reference_yref():
@@ -109,7 +109,7 @@ def known_4x4():
 def test_propagate_exactness_known_eigensystem():
     A, Q, lam = known_4x4()
     x0 = np.array([1.0, -2.0, 0.5, 0.25])
-    t, xs = fx.propagate_autonomous(A, x0, 2.0, 0.01)
+    t, xs = fx.propagate_autonomous(A, x0, 2.0, 0.01, np.eye(4))
     want = (Q * np.exp(np.outer(t, lam))[:, None, :]) @ (Q.T @ x0)
     worst = np.max(np.abs(xs - want.reshape(xs.shape)))
     assert worst < 1e-10
@@ -118,24 +118,28 @@ def test_propagate_exactness_known_eigensystem():
 def test_propagate_grid_invariance():
     A, _, _ = known_4x4()
     x0 = np.array([1.0, 0.0, -1.0, 2.0])
-    t1, xs1 = fx.propagate_autonomous(A, x0, 1.0, 0.02)
-    t2, xs2 = fx.propagate_autonomous(A, x0, 1.0, 0.01)
+    t1, xs1 = fx.propagate_autonomous(A, x0, 1.0, 0.02, np.eye(4))
+    t2, xs2 = fx.propagate_autonomous(A, x0, 1.0, 0.01, np.eye(4))
     assert np.max(np.abs(xs1 - xs2[::2])) < 1e-10
 
 
 def test_propagate_validates_grid():
     A = -np.eye(2)
     with pytest.raises(ValueError):
-        fx.propagate_autonomous(A, np.ones(2), 1.0, 0.0)
+        fx.propagate_autonomous(A, np.ones(2), 1.0, 0.0, np.eye(2))
     with pytest.raises(ValueError):
-        fx.propagate_autonomous(A, np.ones(2), 0.1, 0.5)
+        fx.propagate_autonomous(A, np.ones(2), 0.1, 0.5, np.eye(2))
 
 
 def test_propagate_detects_blowup():
     # x_i = exp(200 i) first overflows at i = 4 (exp(800) > 1.8e308 > exp(600))
     A = np.array([[400.0]])
     with pytest.raises(RuntimeError, match=r"non-finite at step 4 \(t = 2\)"):
-        fx.propagate_autonomous(A, np.array([1.0]), 10.0, 0.5)
+        fx.propagate_autonomous(A, np.array([1.0]), 10.0, 0.5, np.eye(1))
+    # a growing mode that C does not see is caught at the next block start
+    A = np.diag([400.0, -1.0])
+    with pytest.raises(RuntimeError, match=r"non-finite at step 8 \(t = 4\)"):
+        fx.propagate_autonomous(A, np.ones(2), 10.0, 0.5, np.array([[0.0, 1.0]]))
 
 
 def step_loop(A, x0, T, dt):
@@ -149,12 +153,12 @@ def step_loop(A, x0, T, dt):
     return xs
 
 
-def assert_matches_step_loop(A, x0, T, dt):
-    t, xs = fx.propagate_autonomous(A, x0, T, dt)
-    want = step_loop(A, x0, T, dt)
-    assert xs.shape == want.shape
+def assert_matches_step_loop(A, x0, T, dt, C):
+    t, ys = fx.propagate_autonomous(A, x0, T, dt, C)
+    want = step_loop(A, x0, T, dt) @ C.T
+    assert ys.shape == want.shape
     assert np.array_equal(t, dt * np.arange(want.shape[0]))
-    assert np.max(np.abs(xs - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(ys - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("steps", [1, 7, 8, 9, 3000])
@@ -164,30 +168,26 @@ def test_propagate_blocked_matches_step_loop(steps):
     A = 0.3 * rng.standard_normal((12, 12)) - np.eye(12)
     x0 = rng.standard_normal(12)
     dt = 0.01
-    assert_matches_step_loop(A, x0, steps * dt, dt)
+    for C in (np.eye(12), rng.standard_normal((2, 12))):
+        assert_matches_step_loop(A, x0, steps * dt, dt, C)
 
 
 def augmented_loop(cl, cfg):
     """Closed loop with the configured signal generator appended, and its initial state."""
-    S, v0, E = _exosystem(cfg.yref_spec(), cfg.wd_spec())
-    ne, nw = cl.n, S.shape[0]
-    A_aug = np.zeros((ne + nw, ne + nw))
-    A_aug[:ne, :ne] = cl.Ae
-    A_aug[:ne, ne:] = cl.Be @ E
-    A_aug[ne:, ne:] = S
-    return A_aug, np.concatenate([analysis.initial_state_from_config(cfg, cl), v0])
+    x0 = analysis.initial_state_from_config(cfg, cl)
+    return _augment(cl, x0, cfg.yref_spec(), cfg.wd_spec())[:2]
 
 
 def test_propagate_reference_loops_match_step_loop(default_config, passive_loop):
     A, x0 = augmented_loop(passive_loop, default_config)
-    assert_matches_step_loop(A, x0, default_config.t_final, default_config.dt)
+    assert_matches_step_loop(A, x0, default_config.t_final, default_config.dt, np.eye(A.shape[0]))
 
     cfg = default_config.with_overrides(controller_kind="observer", n_basis=20)
     ss = analysis.plant_from_config(cfg)
     cl = fx.assemble_closed_loop(ss, analysis.controller_from_config(cfg, ss))
     A, x0 = augmented_loop(cl, cfg)
     assert A.shape == (185, 185)
-    assert_matches_step_loop(A, x0, cfg.t_final, cfg.dt)
+    assert_matches_step_loop(A, x0, cfg.t_final, cfg.dt, np.eye(185))
 
 
 # --- closed-loop integration ----------------------------------------------------
@@ -257,16 +257,11 @@ def test_energy_balance_forced_run(ss10, default_config):
     x0 = fx.project_initial_state(default_config.initial_profiles(), ss10)
     residuals = []
     for dt in (0.005, 0.0025):
-        S, v0, E = _exosystem(yref, wd)
-        ne, nw = cl.n, S.shape[0]
-        A_aug = np.zeros((ne + nw, ne + nw))
-        A_aug[:ne, :ne] = cl.Ae
-        A_aug[:ne, ne:] = cl.Be @ E
-        A_aug[ne:, ne:] = S
-        t, xs = fx.propagate_autonomous(A_aug, np.concatenate([x0, v0]), 15.0, dt)
+        A_aug, x0_aug, E = _augment(cl, x0, yref, wd)
+        t, xs = fx.propagate_autonomous(A_aug, x0_aug, 15.0, dt, np.eye(A_aug.shape[0]))
         xp = xs[:, : ss10.n]
         vel = xp[:, 2 * ss10.n_basis :]
-        u_inj = (xs[:, ne:] @ E.T)[:, 2:4]
+        u_inj = (xs[:, cl.n :] @ E.T)[:, 2:4]
         y = xp @ ss10.C.T
         energy = 0.5 * np.einsum("ij,ij->i", xp, xp)
         supply = np.trapezoid(np.einsum("ij,ij->i", u_inj, y), t)
