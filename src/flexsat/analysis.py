@@ -21,11 +21,9 @@ from .simulate import SimulationTrace, integrate, integrated_square_error, track
 from .synthesis import (
     ClosedLoopSystem,
     ControllerRealization,
-    ObserverSynthesis,
     assemble_closed_loop,
     build_observer_controller,
     build_passive_controller,
-    observer_synthesis,
     solve_sylvester_H,
 )
 
@@ -35,15 +33,21 @@ def stability_margin(A: np.ndarray) -> float:
     return -spectral_abscissa(A)
 
 
-def separation_margin(plant_margin: float, syn: ObserverSynthesis) -> float:
-    """Margin of an observer loop closed around the plant its synthesis was built on.
+def closed_loop_margin(cl: ClosedLoopSystem, plant_margin: float | None = None) -> float:
+    """Stability margin of a closed loop.
 
-    That loop's spectrum is spec(A) twice together with spec(syn.servo) (see
-    ObserverSynthesis), so its margin is the smaller of the plant margin and
-    the servo margin, with no eigenvalue decomposition of the closed loop: a
-    full eig of Ae splits the doubled plant spectrum by about sqrt(eps).
+    plant_margin is the margin of the plant the controller was designed on,
+    and the caller passes it only when cl is closed around that plant.  Then
+    an observer loop's spectrum is spec(A) twice together with spec(servo)
+    (see ControllerRealization), so its margin is the smaller of the plant and
+    servo margins, with no eigenvalue decomposition of the closed loop: a full
+    eig of Ae splits the doubled plant spectrum by about sqrt(eps).  In every
+    other case the margin is that of Ae.
     """
-    return min(plant_margin, stability_margin(syn.servo))
+    servo = cl.controller.servo
+    if servo is None or plant_margin is None:
+        return stability_margin(cl.Ae)
+    return min(plant_margin, stability_margin(servo))
 
 
 def resolvent_norm_scan(ss: LinearStateSpace, omegas) -> np.ndarray:
@@ -90,10 +94,11 @@ def plant_from_config(cfg: RunConfig) -> LinearStateSpace:
     return assemble(cfg.physical(), cfg.n_basis, cfg.bd_profiles())
 
 
-def controller_from_config(cfg: RunConfig, ss: LinearStateSpace) -> ControllerRealization:
+def controller_from_config(cfg: RunConfig, ss: LinearStateSpace, H=None) -> ControllerRealization:
+    """The configured controller for plant ss; H is an observer's Sylvester solution, if solved."""
     if cfg.controller_kind == "passive":
         return build_passive_controller(cfg.frequencies, cfg.c1, cfg.c2)
-    return build_observer_controller(ss, cfg.frequencies, cfg.q0, cfg.r0)
+    return build_observer_controller(ss, cfg.frequencies, cfg.q0, cfg.r0, H)
 
 
 def initial_state_from_config(cfg: RunConfig, cl: ClosedLoopSystem) -> np.ndarray:
@@ -132,24 +137,18 @@ _OBSERVER_PARAMS = ("q0", "r0")
 def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
     """Synthesize, close the loop, and simulate across one parameter grid.
 
+    Every grid value must make a valid RunConfig (a gain is positive and
+    finite), else the sweep raises ConfigError before any point runs.
     Unstable closed loops and synthesis failures are flagged in ``stable``
     and carry NaN metrics; the sweep always completes.  Work that depends on
     the plant alone (initial state, observer Sylvester solution, plant
-    margin) is done once.  A passive point's margin is that of the full
-    closed loop.  An observer loop's spectrum is spec(A) twice with that of
-    the servo matrix G1 + B1 K1 (see ObserverSynthesis), so an observer
-    point's margin is the smaller of the plant and servo margins, and no
-    point takes an eigenvalue decomposition larger than the plant
-    (separation_margin).  A stable point propagates only the two rows of its
-    tracking error (tracking_error), not the state history, and integrates
-    ||e||^2 with error_metrics's formula.  ``cfg.workers`` threads run the
-    points (0: one per core).
+    margin) is done once; a point's margin is closed_loop_margin, and a stable
+    point integrates ||e||^2 over its tracking error (tracking_error).
+    ``cfg.workers`` threads run the points (0: one per core).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("sweep grid must be nonempty")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("sweep grid must be finite")
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("sweep grid must be strictly increasing")
     allowed = _PASSIVE_PARAMS if cfg.controller_kind == "passive" else _OBSERVER_PARAMS
@@ -158,9 +157,10 @@ def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
             f"parameter {parameter!r} does not apply to the {cfg.controller_kind} controller "
             f"(choose from {allowed})"
         )
+    points = [cfg.with_overrides(**{parameter: float(value)}) for value in grid]
     ss = plant_from_config(cfg)
     x0_plant = project_initial_state(cfg.initial_profiles(), ss)
-    H = None
+    H = plant_margin = None
     if cfg.controller_kind == "observer":
         try:
             H = solve_sylvester_H(ss, cfg.frequencies)
@@ -169,16 +169,11 @@ def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
             return SweepResult(parameter, grid, nan, nan.copy(), np.zeros(grid.size, dtype=bool))
         plant_margin = stability_margin(ss.A)
 
-    def run_point(value: float):
+    def run_point(point: RunConfig):
         try:
-            point = cfg.with_overrides(**{parameter: float(value)})
-            if H is None:
-                ctrl = controller_from_config(point, ss)
-            else:
-                syn = observer_synthesis(ss, point.frequencies, point.q0, point.r0, H)
-                ctrl = syn.controller
+            ctrl = controller_from_config(point, ss, H)
             cl = assemble_closed_loop(ss, ctrl)
-            margin = stability_margin(cl.Ae) if H is None else separation_margin(plant_margin, syn)
+            margin = closed_loop_margin(cl, plant_margin)
             if margin <= 0.0:
                 return np.nan, np.nan, False
             x0 = np.concatenate([x0_plant, np.zeros(ctrl.n_c)])
@@ -189,10 +184,10 @@ def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
 
     nworkers = max(1, min(cfg.workers or os.cpu_count() or 1, grid.size))
     if nworkers == 1:
-        rows = [run_point(v) for v in grid]
+        rows = [run_point(p) for p in points]
     else:
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            rows = list(pool.map(run_point, grid))
+            rows = list(pool.map(run_point, points))
     margin = np.array([r[0] for r in rows])
     l2sq = np.array([r[1] for r in rows])
     stable = np.array([r[2] for r in rows], dtype=bool)

@@ -164,10 +164,7 @@ def cmd_validate(cfg: RunConfig) -> int:
         else:
             ctrl = analysis.controller_from_config(cfg, ss)
         cl = assemble_closed_loop(ss, ctrl)
-        if cfg.controller_kind == "observer":
-            cl_margin = analysis.separation_margin(margin, syn)
-        else:
-            cl_margin = analysis.stability_margin(cl.Ae)
+        cl_margin = analysis.closed_loop_margin(cl, margin)
         rep.add("closed_loop_margin", "pass" if cl_margin > 0.0 else "fail",
                 f"{cfg.controller_kind}: margin = {cl_margin:.6f}")
         if cl_margin > 0.0:
@@ -205,24 +202,17 @@ def cmd_analyze(cfg: RunConfig, out_dir: str) -> int:
 def cmd_simulate(cfg: RunConfig, out_dir: str, perturb: dict | None) -> int:
     """Closed-loop run with the configured controller; optional plant perturbation."""
     ss_nominal = analysis.plant_from_config(cfg)
-    syn = None
-    if cfg.controller_kind == "observer":
-        H = solve_sylvester_H(ss_nominal, cfg.frequencies)
-        syn = observer_synthesis(ss_nominal, cfg.frequencies, cfg.q0, cfg.r0, H)
-        ctrl = syn.controller
-    else:
-        ctrl = analysis.controller_from_config(cfg, ss_nominal)
+    ctrl = analysis.controller_from_config(cfg, ss_nominal)
     if perturb:
         p_run = cfg.physical().scaled(**perturb)
         ss_run = assemble(p_run, cfg.n_basis, cfg.bd_profiles())
         print("plant perturbed:", ", ".join(f"{k} x {v}" for k, v in perturb.items()))
+        plant_margin = None  # the controller was not designed on this plant
     else:
         ss_run = ss_nominal
+        plant_margin = analysis.stability_margin(ss_run.A)
     cl = assemble_closed_loop(ss_run, ctrl)
-    if syn is None or perturb:  # on a perturbed plant the separation structure is lost
-        margin = analysis.stability_margin(cl.Ae)
-    else:
-        margin = analysis.separation_margin(analysis.stability_margin(ss_run.A), syn)
+    margin = analysis.closed_loop_margin(cl, plant_margin)
     if margin <= 0.0:
         print(f"closed loop unstable: stability margin = {margin:.6e}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -1,6 +1,7 @@
 """Physical constants of the satellite: two identical flexible panels and a rigid hub."""
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,9 @@ class PhysicalParams:
     I_m: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         for name in ("rho", "a", "E", "I", "m", "I_m"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be strictly positive, got {getattr(self, name)!r}")

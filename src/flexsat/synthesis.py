@@ -83,12 +83,20 @@ def internal_model(freqs) -> InternalModel:
 
 @dataclass(frozen=True, eq=False)
 class ControllerRealization:
-    """Matrices (G1, G2, K, kappa) of a dynamic error-feedback controller."""
+    """Matrices (G1, G2, K, kappa) of a dynamic error-feedback controller.
+
+    servo is the Hurwitz servo matrix G1 + B1 K1 of an observer controller
+    (None otherwise).  Since K2 = K1 H and the plant copy has no error
+    injection, the loop closed around the plant the controller was designed on
+    is block-triangular in the coordinates (x - xhat, z1 + H xhat, xhat), so
+    its spectrum is spec(A) twice together with spec(servo).
+    """
 
     G1: np.ndarray
     G2: np.ndarray
     K: np.ndarray
     kappa: np.ndarray
+    servo: np.ndarray | None = None
 
     @property
     def n_c(self) -> int:
@@ -241,18 +249,13 @@ class ObserverSynthesis:
     """Observer controller with the Riccati data it was built from, for residual checks.
 
     P solves the Riccati equation of the servocompensator (G1, B1 = H B) with
-    weights q0 I and r0 I, and servo = G1 + B1 K1 is the Hurwitz matrix its
-    gain closes.  Since K2 = K1 H and the plant copy has no error injection,
-    the closed loop with the nominal plant is block-triangular in the
-    coordinates (x - xhat, z1 + H xhat, xhat), so its spectrum is spec(A)
-    twice together with spec(servo).
+    weights q0 I and r0 I.
     """
 
     controller: ControllerRealization
     G1: np.ndarray
     B1: np.ndarray
     P: np.ndarray
-    servo: np.ndarray
 
 
 def observer_synthesis(ss: LinearStateSpace, freqs, q0: float, r0: float, H: np.ndarray) -> ObserverSynthesis:
@@ -288,13 +291,16 @@ def observer_synthesis(ss: LinearStateSpace, freqs, q0: float, r0: float, H: np.
     G1[nz:, nz:] = ss.A + ss.B @ K2
     G2 = np.vstack([_observer_G2(im), np.zeros((n, 2))])
     K = np.hstack([K1, K2])
-    ctrl = ControllerRealization(G1=G1, G2=G2, K=K, kappa=np.zeros((2, 2)))
-    return ObserverSynthesis(controller=ctrl, G1=im.G1, B1=B1, P=P, servo=servo)
+    ctrl = ControllerRealization(G1=G1, G2=G2, K=K, kappa=np.zeros((2, 2)), servo=servo)
+    return ObserverSynthesis(controller=ctrl, G1=im.G1, B1=B1, P=P)
 
 
-def build_observer_controller(ss: LinearStateSpace, freqs, q0: float, r0: float) -> ControllerRealization:
-    """Observer-based internal-model controller: solve_sylvester_H, then observer_synthesis."""
-    return observer_synthesis(ss, freqs, q0, r0, solve_sylvester_H(ss, freqs)).controller
+def build_observer_controller(ss: LinearStateSpace, freqs, q0: float, r0: float, H=None) -> ControllerRealization:
+    """Observer-based internal-model controller: observer_synthesis from H, which
+    is solve_sylvester_H(ss, freqs) when not given."""
+    if H is None:
+        H = solve_sylvester_H(ss, freqs)
+    return observer_synthesis(ss, freqs, q0, r0, H).controller
 
 
 @dataclass(frozen=True, eq=False)

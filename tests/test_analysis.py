@@ -157,7 +157,7 @@ def test_observer_sweep_margin_is_separation_margin(default_config, n_basis):
     cfg = default_config.with_overrides(controller_kind="observer", n_basis=n_basis, workers=1)
     ss, syn, cl = _observer_point(cfg)
     res = analysis.sweep(cfg, "r0", [cfg.r0])
-    servo_margin = analysis.stability_margin(syn.servo)
+    servo_margin = analysis.stability_margin(syn.controller.servo)
     assert servo_margin < analysis.stability_margin(ss.A)
     assert res.margin[0] == servo_margin
     assert res.margin[0] == pytest.approx(analysis.stability_margin(cl.Ae), rel=1e-11)
@@ -180,7 +180,7 @@ def test_observer_sweep_margin_binds_on_plant(default_config):
     cfg = default_config.with_overrides(controller_kind="observer", gamma=0.1, workers=1)
     ss, syn, cl = _observer_point(cfg)
     plant_margin = analysis.stability_margin(ss.A)
-    assert plant_margin < analysis.stability_margin(syn.servo)
+    assert plant_margin < analysis.stability_margin(syn.controller.servo)
     res = analysis.sweep(cfg, "r0", [cfg.r0])
     assert res.margin[0] == plant_margin
     assert res.margin[0] == pytest.approx(analysis.stability_margin(cl.Ae), rel=1e-5)
@@ -231,6 +231,8 @@ def test_sweep_rejects_empty_grid(default_config):
         analysis.sweep(default_config, "c1", [np.nan, 1.0, 2.0])
     with pytest.raises(ValueError):
         analysis.sweep(default_config, "c1", [1.0, np.inf])
+    with pytest.raises(ValueError):
+        analysis.sweep(default_config, "c1", [0.0, 1.0])
 
 
 def test_sweep_rejects_inapplicable_parameter(default_config):

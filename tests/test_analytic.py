@@ -331,6 +331,10 @@ def test_params_validation():
         fx.PhysicalParams(m=-1.0)
     with pytest.raises(ValueError):
         fx.PhysicalParams(rho=0.0)
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        fx.PhysicalParams(gamma=float("nan"))
+    with pytest.raises(ValueError, match="E must be finite"):
+        fx.PhysicalParams(E=1e308).scaled(E=10.0)
     fx.PhysicalParams(gamma=0.0)  # undamped limit is allowed
     p = fx.PhysicalParams().scaled(gamma=0.9, m=1.1)
     assert p.gamma == pytest.approx(4.5) and p.m == pytest.approx(1.1)

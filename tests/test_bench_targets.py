@@ -7,7 +7,8 @@ import pathlib
 
 import numpy as np
 
-from flexsat import simulate
+from flexsat import analysis, simulate
+from flexsat.config import RunConfig
 
 TRACER = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -38,3 +39,19 @@ def test_propagate_arguments_match_tracer():
     A, x0, C = -np.eye(3), np.ones(3), np.ones((2, 3))
     result = simulate.propagate_autonomous(A, x0, 0.5, 0.01, C)
     assert load_tracer()._n_steps((A, x0, 0.5, 0.01, C), {}, result) == {"n": 3, "steps": 50}
+
+
+def test_observer_sweep_points_traced_as_controller_builds():
+    # every observer sweep point builds its controller through
+    # build_observer_controller, from the one Sylvester solution of the sweep
+    tracer = load_tracer()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        cfg = RunConfig(controller_kind="observer", workers=1)
+        analysis.sweep(cfg, "r0", [0.05, 0.1, 0.2])
+    finally:
+        t.uninstall()
+    summary = tracer.summarize(tracer.span_dicts(t.spans))
+    assert summary["synthesis.build_observer_controller"]["calls"] == 3
+    assert summary["synthesis.solve_sylvester_H"]["calls"] == 1

@@ -119,18 +119,19 @@ def test_simulate_observer_configuration(tmp_path):
 def test_observer_margin_from_separation_structure(tmp_path, monkeypatch):
     # unperturbed simulate and validate take the observer loop's margin as
     # min(plant, servo): on the reference it agrees with the full eig of Ae,
-    # and at gamma = 0.1, where the plant binds, it is the plant margin itself
+    # and at gamma = 0.1, where the plant binds, it is the plant margin itself;
+    # on a perturbed plant the structure is lost and the margin is the eig of Ae
     import flexsat as fx
     from flexsat import analysis
 
     margins = []
-    separation = analysis.separation_margin
+    closed_loop_margin = analysis.closed_loop_margin
 
     def recording(*args):
-        margins.append(separation(*args))
+        margins.append(closed_loop_margin(*args))
         return margins[-1]
 
-    monkeypatch.setattr(analysis, "separation_margin", recording)
+    monkeypatch.setattr(analysis, "closed_loop_margin", recording)
     for gamma in (5.0, 0.1):
         path, cfg = write_config(tmp_path, controller_kind="observer", gamma=gamma)
         out = tmp_path / f"gamma{gamma}"
@@ -144,6 +145,16 @@ def test_observer_margin_from_separation_structure(tmp_path, monkeypatch):
         else:
             cl = fx.assemble_closed_loop(ss, analysis.controller_from_config(cfg, ss))
             assert margin == pytest.approx(analysis.stability_margin(cl.Ae), rel=1e-11)
+
+    path, cfg = write_config(tmp_path, controller_kind="observer")
+    out = tmp_path / "perturbed"
+    assert cli.main(["--config", str(path), "--out", str(out),
+                     "simulate", "--perturb", "gamma=0.9,m=1.1"]) == 0
+    ss = analysis.plant_from_config(cfg)
+    ss_run = fx.assemble(cfg.physical().scaled(gamma=0.9, m=1.1), cfg.n_basis, cfg.bd_profiles())
+    cl = fx.assemble_closed_loop(ss_run, analysis.controller_from_config(cfg, ss))
+    assert margins[-1] == analysis.stability_margin(cl.Ae)
+    assert np.loadtxt(out / "summary.csv", delimiter=",", skiprows=1)[0] == margins[-1]
 
 
 def test_manifest_roundtrip(tmp_path):
@@ -176,6 +187,10 @@ def test_simulate_bad_perturbation_exits_2(tmp_path):
     rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"),
                    "simulate", "--perturb", "gammafast"])
     assert rc == 2
+    for factors in ("gamma=nan", "gamma=inf", "m=inf"):
+        rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"),
+                       "simulate", "--perturb", factors])
+        assert rc == 2, factors
 
 
 def test_simulate_deterministic(tmp_path):
@@ -219,7 +234,7 @@ def test_sweep_empty_grid_exits_2(tmp_path):
     rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"),
                    "sweep", "--param", "c1", "--grid", "1:2:0"])
     assert rc == 2
-    for grid in ("nan:1:3", "inf:1:3", "1:inf:3:log"):
+    for grid in ("nan:1:3", "inf:1:3", "1:inf:3:log", "0:1:3"):
         rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"),
                        "sweep", "--param", "c1", "--grid", grid])
         assert rc == 2, grid
