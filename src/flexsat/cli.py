@@ -26,8 +26,7 @@ from .synthesis import (
     CARE_RESIDUAL_RTOL,
     SYLVESTER_RESIDUAL_RTOL,
     assemble_closed_loop,
-    care_residual,
-    observer_synthesis,
+    build_observer_controller,
     regulation_zero_check,
     solve_sylvester_H,
     sylvester_residual,
@@ -146,21 +145,20 @@ def cmd_validate(cfg: RunConfig) -> int:
             res = max(res, float(np.abs(ident - np.eye(2)).max()))
         rep.add("s_matrix_identity", "pass" if res < 1e-12 else "fail", f"max residual = {res:.3e}")
 
-        # one observer synthesis: its residuals are checked, and on an observer
+        # one observer build: its residuals are checked, and on an observer
         # config it is also the controller of the closed loop
         H = solve_sylvester_H(ss, cfg.frequencies)
-        syn = observer_synthesis(ss, cfg.frequencies, cfg.q0, cfg.r0, H)
+        observer = build_observer_controller(ss, cfg.frequencies, cfg.q0, cfg.r0, H)
         sylres = sylvester_residual(ss, cfg.frequencies, H)
         rep.add("sylvester_residual", "pass" if sylres < SYLVESTER_RESIDUAL_RTOL else "fail",
                 f"relative residual = {sylres:.3e}")
 
-        Q, R = cfg.q0 * np.eye(syn.G1.shape[0]), cfg.r0 * np.eye(2)
-        relres = care_residual(syn.G1, syn.B1, Q, R, syn.P)
+        relres = observer.care_residual
         rep.add("care_residual", "pass" if relres < CARE_RESIDUAL_RTOL else "fail",
                 f"relative residual = {relres:.3e}")
 
         if cfg.controller_kind == "observer":
-            ctrl = syn.controller
+            ctrl = observer
         else:
             ctrl = analysis.controller_from_config(cfg, ss)
         cl = assemble_closed_loop(ss, ctrl)

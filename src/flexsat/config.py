@@ -114,8 +114,8 @@ class RunConfig:
         ):
             if len(rows) != q or any(len(r) != dim for r in rows):
                 raise ConfigError(f"{name} must have {q} rows of {dim} entries")
-        if len(self.yref_const) != 2 or len(self.wd_const) != 4:
-            raise ConfigError("yref offset needs 2 entries and wd offset 4")
+        if len(self.yref_const) != 2 or len(self.wd_const) != 4 or len(self.hub_velocity) != 2:
+            raise ConfigError("yref offset needs 2 entries, wd offset 4 and hub_velocity 2")
         if self.t_final <= 0 or self.dt <= 0 or self.t_final < self.dt:
             raise ConfigError("need t_final >= dt > 0")
         if self.initial_profile not in INITIAL_PROFILE_PRESETS:

@@ -64,9 +64,9 @@ class PhysicalParams:
 
         Used for plant-perturbation experiments, e.g. ``p.scaled(gamma=0.9, m=1.1)``.
         """
-        updates = {}
+        updates, names = {}, {f.name for f in fields(self)}
         for name, factor in factors.items():
-            if not hasattr(self, name):
+            if name not in names:
                 raise ValueError(f"unknown parameter {name!r}")
             updates[name] = getattr(self, name) * factor
         return replace(self, **updates)

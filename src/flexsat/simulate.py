@@ -4,7 +4,8 @@ The closed loop driven by constant-plus-sinusoidal references and
 disturbances is autonomous once the signal generator is appended to the
 state, so trajectories are computed from a single matrix exponential, applied
 in blocks of its precomputed powers: there is no time-discretization error at
-the grid points beyond the exponential's own backward error.  The propagator
+the grid points beyond the exponential's own backward error.  The exponential
+is one [13/13] Pade scaling-and-squaring routine.  The propagator
 returns only the linear outputs its caller reads (the trace's plant state,
 error and control for integrate, the two error rows for tracking_error),
 never the augmented state history.
@@ -73,69 +74,45 @@ def eval_signal(spec: SignalSpec, t):
 
 # --- matrix exponential -----------------------------------------------------
 
-_PADE_COEFFS = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (
-        17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0,
-    ),
-    13: (
-        64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-        1187353796428800.0, 129060195264000.0, 10559470521600.0,
-        670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-        960960.0, 16380.0, 182.0, 1.0,
-    ),
-}
-
-# 1-norm thresholds below which the [m/m] Pade approximant meets double precision
-_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
-               7: 9.504178996162932e-1, 9: 2.097847961257068, 13: 5.371920351148152}
+# [13/13] Pade coefficients, and the 1-norm up to which the approximant meets
+# double precision (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005)
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0,
+    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+    960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
 
 
-def _pade(M, m):
-    b = _PADE_COEFFS[m]
-    n = M.shape[0]
-    eye = np.eye(n, dtype=M.dtype)
+def _pade13(M):
+    """Odd and even parts (U, V) of the [13/13] Pade approximant, exp(M) ~ (V - U)^-1 (V + U)."""
+    b = _PADE13
+    eye = np.eye(M.shape[0], dtype=M.dtype)
     M2 = M @ M
-    if m == 13:
-        M4 = M2 @ M2
-        M6 = M4 @ M2
-        U = M @ (
-            M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2)
-            + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * eye
-        )
-        V = (
-            M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2)
-            + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * eye
-        )
-        return U, V
-    pows = [eye, M2]
-    for _ in range((m - 3) // 2):
-        pows.append(pows[-1] @ M2)
-    U = np.zeros_like(M)
-    V = np.zeros_like(M)
-    for i, Pk in enumerate(pows):
-        U += b[2 * i + 1] * Pk
-        V += b[2 * i] * Pk
-    return M @ U, V
+    M4 = M2 @ M2
+    M6 = M4 @ M2
+    U = M @ (
+        M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2)
+        + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * eye
+    )
+    V = (
+        M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2)
+        + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * eye
+    )
+    return U, V
 
 
 def matrix_exponential(M: np.ndarray) -> np.ndarray:
-    """exp(M) by scaling and squaring with diagonal Pade approximants."""
+    """exp(M) by scaling and squaring with the [13/13] Pade approximant."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     norm = np.linalg.norm(M, 1)
     if norm == 0.0:
         return np.eye(M.shape[0])
-    for m in (3, 5, 7, 9):
-        if norm <= _PADE_THETA[m]:
-            U, V = _pade(M, m)
-            return np.linalg.solve(V - U, V + U)
-    s = max(0, int(math.ceil(math.log2(norm / _PADE_THETA[13]))))
-    U, V = _pade(M / (2.0**s), 13)
+    s = max(0, int(math.ceil(math.log2(norm / _THETA13))))
+    U, V = _pade13(M / (2.0**s))
     E = np.linalg.solve(V - U, V + U)
     for _ in range(s):
         E = E @ E

@@ -11,6 +11,8 @@ model with a full plant copy; its stabilizing gain comes from a continuous
 algebraic Riccati equation and its coupling from the regulator (Sylvester)
 equation G1 H = H A + G2 C of the real rotation-block internal model, solved
 with one shifted solve of the plant per tracked frequency.
+build_observer_controller is the one observer construction, and the
+realization it returns carries the Riccati residual.
 """
 
 from dataclasses import dataclass
@@ -89,7 +91,8 @@ class ControllerRealization:
     (None otherwise).  Since K2 = K1 H and the plant copy has no error
     injection, the loop closed around the plant the controller was designed on
     is block-triangular in the coordinates (x - xhat, z1 + H xhat, xhat), so
-    its spectrum is spec(A) twice together with spec(servo).
+    its spectrum is spec(A) twice together with spec(servo).  care_residual is
+    the relative residual of the Riccati solution behind K1 (None otherwise).
     """
 
     G1: np.ndarray
@@ -97,6 +100,7 @@ class ControllerRealization:
     K: np.ndarray
     kappa: np.ndarray
     servo: np.ndarray | None = None
+    care_residual: float | None = None
 
     @property
     def n_c(self) -> int:
@@ -244,30 +248,19 @@ def care_solve(A, B, Q, R):
     return P, K
 
 
-@dataclass(frozen=True, eq=False)
-class ObserverSynthesis:
-    """Observer controller with the Riccati data it was built from, for residual checks.
-
-    P solves the Riccati equation of the servocompensator (G1, B1 = H B) with
-    weights q0 I and r0 I.
-    """
-
-    controller: ControllerRealization
-    G1: np.ndarray
-    B1: np.ndarray
-    P: np.ndarray
-
-
-def observer_synthesis(ss: LinearStateSpace, freqs, q0: float, r0: float, H: np.ndarray) -> ObserverSynthesis:
+def build_observer_controller(ss: LinearStateSpace, freqs, q0: float, r0: float, H=None) -> ControllerRealization:
     """Observer-based internal-model controller from the Sylvester solution H.
 
-    H is solve_sylvester_H(ss, freqs), which depends on the plant alone.  The
-    servocompensator is the real rotation-block internal model driven by the
-    tracking error; its stabilizing gain K1 makes G1 + B1 K1 Hurwitz via the
-    Riccati equation with weights q0 I and r0 I (the Riccati gain enters with
-    a plus sign here, so the conventional sign is flipped).  A full copy of
-    the plant acts as observer, and K2 = K1 H couples it back.
+    H is solve_sylvester_H(ss, freqs), which depends on the plant alone and is
+    solved here when not given.  The servocompensator is the real
+    rotation-block internal model driven by the tracking error; its
+    stabilizing gain K1 makes G1 + B1 K1 Hurwitz via the Riccati equation with
+    weights q0 I and r0 I (the Riccati gain enters with a plus sign here, so
+    the conventional sign is flipped).  A full copy of the plant acts as
+    observer, and K2 = K1 H couples it back.
     """
+    if H is None:
+        H = solve_sylvester_H(ss, freqs)
     if q0 <= 0.0 or r0 <= 0.0:
         raise ValueError(f"q0 and r0 must be positive, got q0={q0!r}, r0={r0!r}")
     im = internal_model(freqs)
@@ -278,7 +271,8 @@ def observer_synthesis(ss: LinearStateSpace, freqs, q0: float, r0: float, H: np.
         if np.linalg.matrix_rank(rows, tol=1e-10) < 2:
             raise RuntimeError(f"plant transfer value at omega = {f} is singular; cannot stabilize")
 
-    P, Klqr = care_solve(im.G1, B1, q0 * np.eye(im.dim), r0 * np.eye(2))
+    Q, R = q0 * np.eye(im.dim), r0 * np.eye(2)
+    P, Klqr = care_solve(im.G1, B1, Q, R)
     K1 = -Klqr
     servo = im.G1 + B1 @ K1  # care_solve has checked that it is Hurwitz
     K2 = K1 @ H
@@ -291,16 +285,8 @@ def observer_synthesis(ss: LinearStateSpace, freqs, q0: float, r0: float, H: np.
     G1[nz:, nz:] = ss.A + ss.B @ K2
     G2 = np.vstack([_observer_G2(im), np.zeros((n, 2))])
     K = np.hstack([K1, K2])
-    ctrl = ControllerRealization(G1=G1, G2=G2, K=K, kappa=np.zeros((2, 2)), servo=servo)
-    return ObserverSynthesis(controller=ctrl, G1=im.G1, B1=B1, P=P)
-
-
-def build_observer_controller(ss: LinearStateSpace, freqs, q0: float, r0: float, H=None) -> ControllerRealization:
-    """Observer-based internal-model controller: observer_synthesis from H, which
-    is solve_sylvester_H(ss, freqs) when not given."""
-    if H is None:
-        H = solve_sylvester_H(ss, freqs)
-    return observer_synthesis(ss, freqs, q0, r0, H).controller
+    return ControllerRealization(G1=G1, G2=G2, K=K, kappa=np.zeros((2, 2)), servo=servo,
+                                 care_residual=care_residual(im.G1, B1, Q, R, P))
 
 
 @dataclass(frozen=True, eq=False)

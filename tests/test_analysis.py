@@ -143,11 +143,11 @@ def test_sweep_solves_sylvester_once(default_config, monkeypatch, kind, paramete
 
 
 def _observer_point(cfg):
-    """Plant, synthesis and closed loop of an observer config, built point by point."""
+    """Plant, controller and closed loop of an observer config, built point by point."""
     ss = analysis.plant_from_config(cfg)
     H = fx.solve_sylvester_H(ss, cfg.frequencies)
-    syn = fx.synthesis.observer_synthesis(ss, cfg.frequencies, cfg.q0, cfg.r0, H)
-    return ss, syn, fx.assemble_closed_loop(ss, syn.controller)
+    ctrl = fx.build_observer_controller(ss, cfg.frequencies, cfg.q0, cfg.r0, H)
+    return ss, ctrl, fx.assemble_closed_loop(ss, ctrl)
 
 
 @pytest.mark.parametrize("n_basis", [10, 20])
@@ -155,9 +155,9 @@ def test_observer_sweep_margin_is_separation_margin(default_config, n_basis):
     # spec(Ae) = spec(A) twice with spec(G1 + B1 K1); on the reference plant
     # the servo spectrum binds, and the full eig of Ae agrees
     cfg = default_config.with_overrides(controller_kind="observer", n_basis=n_basis, workers=1)
-    ss, syn, cl = _observer_point(cfg)
+    ss, ctrl, cl = _observer_point(cfg)
     res = analysis.sweep(cfg, "r0", [cfg.r0])
-    servo_margin = analysis.stability_margin(syn.controller.servo)
+    servo_margin = analysis.stability_margin(ctrl.servo)
     assert servo_margin < analysis.stability_margin(ss.A)
     assert res.margin[0] == servo_margin
     assert res.margin[0] == pytest.approx(analysis.stability_margin(cl.Ae), rel=1e-11)
@@ -178,9 +178,9 @@ def test_observer_sweep_margin_binds_on_plant(default_config):
     # servo spectrum; the double eigenvalue splits by about sqrt(eps) in a
     # full eig of Ae, so the separation margin is the plant margin itself
     cfg = default_config.with_overrides(controller_kind="observer", gamma=0.1, workers=1)
-    ss, syn, cl = _observer_point(cfg)
+    ss, ctrl, cl = _observer_point(cfg)
     plant_margin = analysis.stability_margin(ss.A)
-    assert plant_margin < analysis.stability_margin(syn.controller.servo)
+    assert plant_margin < analysis.stability_margin(ctrl.servo)
     res = analysis.sweep(cfg, "r0", [cfg.r0])
     assert res.margin[0] == plant_margin
     assert res.margin[0] == pytest.approx(analysis.stability_margin(cl.Ae), rel=1e-5)

@@ -340,3 +340,6 @@ def test_params_validation():
     assert p.gamma == pytest.approx(4.5) and p.m == pytest.approx(1.1)
     with pytest.raises(ValueError):
         fx.PhysicalParams().scaled(nonsense=2.0)
+    for name in ("rho_a", "EI", "scaled"):  # a property or method is not a field
+        with pytest.raises(ValueError, match="unknown parameter"):
+            fx.PhysicalParams().scaled(**{name: 2.0})

@@ -7,10 +7,11 @@ import pathlib
 
 import numpy as np
 
-from flexsat import analysis, simulate
+from flexsat import analysis, cli, simulate
 from flexsat.config import RunConfig
 
-TRACER = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def load_tracer():
@@ -55,3 +56,21 @@ def test_observer_sweep_points_traced_as_controller_builds():
     summary = tracer.summarize(tracer.span_dicts(t.spans))
     assert summary["synthesis.build_observer_controller"]["calls"] == 3
     assert summary["synthesis.solve_sylvester_H"]["calls"] == 1
+
+
+def test_validate_synthesis_traced_as_one_controller_build(capsys):
+    # validate's one Riccati solve happens inside its one observer build
+    tracer = load_tracer()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        rc = cli.main(["--config", str(ROOT / "configs" / "reference.ini"), "validate"])
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+    assert rc == 0
+    spans = tracer.span_dicts(t.spans)
+    builds = [s for s in spans if s["name"] == "synthesis.build_observer_controller"]
+    cares = [s for s in spans if s["name"] == "synthesis.care_solve"]
+    assert len(builds) == 1 and len(cares) == 1
+    assert cares[0]["parent"] == builds[0]["id"]

@@ -187,7 +187,7 @@ def test_simulate_bad_perturbation_exits_2(tmp_path):
     rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"),
                    "simulate", "--perturb", "gammafast"])
     assert rc == 2
-    for factors in ("gamma=nan", "gamma=inf", "m=inf"):
+    for factors in ("gamma=nan", "gamma=inf", "m=inf", "rho_a=2", "EI=2", "scaled=2"):
         rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"),
                        "simulate", "--perturb", factors])
         assert rc == 2, factors

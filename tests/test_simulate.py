@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import flexsat as fx
 from flexsat import analysis
-from flexsat.simulate import _augment
+from flexsat.simulate import _augment, _exosystem
 
 
 def reference_yref():
@@ -46,6 +47,25 @@ def test_signal_spec_validation():
         fx.SignalSpec.create((2.0, 1.0), (0.0, 0.0))
     with pytest.raises(ValueError):
         fx.SignalSpec.create((1.0,), (0.0, 0.0), cos_coeffs=[[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_exosystem_reproduces_eval_signal():
+    # the generator appended to the closed loop is the signal's closed form
+    rng = np.random.default_rng(3)
+    freqs = (0.7, 1.0, 2.0, 5.0)
+    yref = fx.SignalSpec.create(freqs, rng.normal(size=2), rng.normal(size=(4, 2)), rng.normal(size=(4, 2)))
+    wd = fx.SignalSpec.create(freqs, rng.normal(size=4), rng.normal(size=(4, 4)), rng.normal(size=(4, 4)))
+    S, v0, E = _exosystem(yref, wd)
+    for t in (0.0, 0.3, 1.7, 4.0, 9.1, 12.5):
+        expected = np.concatenate([fx.eval_signal(wd, t), fx.eval_signal(yref, t)])
+        np.testing.assert_allclose(E @ sla.expm(S * t) @ v0, expected, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("trace", ["passive_trace", "observer_trace"])
+def test_trace_error_is_output_minus_reference(request, default_config, trace):
+    tr = request.getfixturevalue(trace)
+    ref = fx.eval_signal(default_config.yref_spec(), tr.t)
+    assert np.abs(tr.e - (tr.y - ref)).max() <= 1e-10 * np.abs(ref).max()
 
 
 # --- matrix exponential ---------------------------------------------------------

@@ -156,7 +156,7 @@ def test_care_random_system():
     assert fx.spectral_abscissa(A - B @ K) < 0.0
 
 
-def test_care_residual_at_reference_internal_model(ss10):
+def test_care_residual_at_reference_internal_model(ss10, observer_ctrl, passive_ctrl):
     im = fx.internal_model(FREQS)
     B1 = fx.solve_sylvester_H(ss10, FREQS) @ ss10.B
     Q, R = 10.0 * np.eye(im.dim), 0.1 * np.eye(2)
@@ -164,6 +164,9 @@ def test_care_residual_at_reference_internal_model(ss10):
     # care_residual is already divided by max(||P||, 1)
     assert care_residual(im.G1, B1, Q, R, P) < CARE_RESIDUAL_RTOL
     assert care_residual(im.G1, B1, Q, R, P * (1.0 + 1e-6)) > CARE_RESIDUAL_RTOL
+    # the observer realization carries the residual of the same solve
+    assert observer_ctrl.care_residual == care_residual(im.G1, B1, Q, R, P)
+    assert passive_ctrl.care_residual is None
 
 
 def test_care_rejects_unstabilizable():
