@@ -11,12 +11,8 @@ from .analysis import (
     transfer_error_report,
 )
 from .analytic import (
-    BeamEigenpair,
     alpha,
-    beam_eigenfunction,
-    beam_eigenpair,
     beam_mu,
-    coupling_diagonals,
     plant_transfer,
     s_matrix,
     transfer_beam,
@@ -63,12 +59,8 @@ __all__ = [
     "PhysicalParams",
     "alpha",
     "beam_mu",
-    "beam_eigenpair",
-    "BeamEigenpair",
-    "beam_eigenfunction",
     "transfer_beam",
     "transfer_rigid",
-    "coupling_diagonals",
     "s_matrix",
     "plant_transfer",
     "BeamBasis",

@@ -21,19 +21,14 @@ formulas stay finite far past |w| = 1e6.
 """
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import legendre as npleg
 
 from .params import PhysicalParams
 
 # Below this |omega| the dedicated w = 0 closed forms are used; the two-term
 # S(i w) formula loses ~|w|^-1 digits to cancellation as w -> 0.
 OMEGA_ZERO_THRESHOLD = 1e-8
-
-_NORM_QUAD_POINTS = 64  # Gauss-Legendre points for eigenfunction normalization
 
 
 def alpha(omega: float, p: PhysicalParams) -> complex:
@@ -91,18 +86,6 @@ def transfer_rigid(omega: float, p: PhysicalParams) -> np.ndarray:
     if omega == 0.0:
         raise ValueError("rigid-body transfer has a pole at omega = 0")
     return np.diag([1.0 / (1j * omega * p.m), 1.0 / (1j * omega * p.I_m)])
-
-
-def coupling_diagonals(omega: float, p: PhysicalParams) -> tuple[complex, complex]:
-    """Diagonal entries (Q1, Q2) of I + P_b(i w) P_c(i w), w != 0.
-
-    Their moduli staying away from zero is what makes the panel/hub
-    interconnection boundedly invertible along the imaginary axis.
-    """
-    Pb = transfer_beam(omega, p)
-    Pc = transfer_rigid(omega, p)
-    q = 1.0 + np.diag(Pb) * np.diag(Pc)
-    return complex(q[0]), complex(q[1])
 
 
 def s_matrix(omega: float, p: PhysicalParams) -> np.ndarray:
@@ -170,78 +153,3 @@ def beam_mu(k: int) -> float:
         if abs(step) < 1e-15 * mu:
             break
     return mu
-
-
-@dataclass(frozen=True)
-class BeamEigenpair:
-    """Mode index, characteristic root, modal frequency and normalization."""
-
-    k: int
-    mu: float
-    lam: float
-    beta: float
-
-
-def _scaled_mode_derivative(mu: float, xi: np.ndarray, order: int):
-    """order-th spatial derivative of the unnormalized mode shapes scaled by 2 e^{-mu}.
-
-    Finite for any mu.  Returns (fhat, ghat) where the physical pair is
-    f = beta_s fhat,  g = -i beta_s ghat / sqrt(rho a EI)
-    with beta_s the scaled normalization constant.
-    """
-    cm, sm = math.cos(mu), math.sin(mu)
-    e2m = math.exp(-2.0 * mu)
-    e1m = math.exp(-mu)
-    P = 1.0 + e2m + 2.0 * cm * e1m
-    Q = 1.0 - e2m - 2.0 * sm * e1m
-    mupow = mu**order
-    expo = mupow * (
-        (-1.0) ** order * np.exp(-mu * xi)
-        + np.exp(-mu * (2.0 - xi))
-        + (cm + sm) * np.exp(-mu * (1.0 - xi))
-        + (-1.0) ** order * (cm - sm) * np.exp(-mu * (1.0 + xi))
-    )
-    # d/dxi cos(mu xi), sin(mu xi) cycle with period 4
-    cosd = [np.cos, lambda z: -np.sin(z), lambda z: -np.cos(z), np.sin][order % 4]
-    sind = [np.sin, np.cos, lambda z: -np.sin(z), lambda z: -np.cos(z)][order % 4]
-    trig_f = -P * cosd(mu * xi) + Q * sind(mu * xi)
-    trig_g = P * cosd(mu * xi) - Q * sind(mu * xi)
-    return expo + mupow * trig_f, expo + mupow * trig_g
-
-
-@lru_cache(maxsize=256)
-def _mode_normalization(k: int, p: PhysicalParams) -> tuple[float, float]:
-    """(mu, beta_s): root and scaled normalization for unit energy norm."""
-    mu = beam_mu(k)
-    xg, wg = npleg.leggauss(_NORM_QUAD_POINTS)
-    xi = 0.5 * (xg + 1.0)
-    w = 0.5 * wg
-    fhat, ghat = _scaled_mode_derivative(mu, xi, 0)
-    nrm2 = float(np.sum(w * (fhat**2 + ghat**2))) / p.rho_a
-    return mu, 1.0 / math.sqrt(nrm2)
-
-
-def beam_eigenpair(k: int, p: PhysicalParams) -> BeamEigenpair:
-    """Eigenpair of the undamped clamped-free panel: root, frequency, normalization."""
-    mu, beta_s = _mode_normalization(k, p)
-    lam = math.sqrt(p.EI / p.rho_a) * mu * mu
-    # beta_s absorbs the factor e^{mu}/2 of the textbook constant
-    beta = beta_s * 2.0 * math.exp(-mu) if mu < 700.0 else 0.0
-    return BeamEigenpair(k=k, mu=mu, lam=lam, beta=beta)
-
-
-def beam_eigenfunction(k: int, xi, p: PhysicalParams, order: int = 0):
-    """Normalized eigenfunction pair (f_k, g_k) of one panel at points xi in [0, 1].
-
-    The pair has unit energy norm; f is the momentum component (real) and g
-    the bending-moment component (purely imaginary).  ``order`` selects the
-    order-th spatial derivative of both components.
-    """
-    if order < 0 or order > 3:
-        raise ValueError("derivative order must be in 0..3")
-    mu, beta_s = _mode_normalization(k, p)
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    fhat, ghat = _scaled_mode_derivative(mu, xi, order)
-    f = beta_s * fhat
-    g = -1j * beta_s * ghat / math.sqrt(p.rho_a * p.EI)
-    return f.astype(complex), g

@@ -233,10 +233,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, perturb: dict | None) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig, out_dir: str, parameter: str, grid_text: str | None, workers) -> int:
+def cmd_sweep(cfg: RunConfig, out_dir: str, parameter: str, grid_text: str | None) -> int:
     """Margin and tracking-error sweep over one controller parameter."""
-    if workers is not None:
-        cfg = cfg.with_overrides(workers=workers)
     grid = _parse_grid(grid_text) if grid_text else default_sweep_grid(cfg, parameter)
     result = analysis.sweep(cfg, parameter, grid)
     path = os.path.join(out_dir, f"sweep_{parameter}.csv")
@@ -261,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep", help="sweep one controller parameter")
     swp.add_argument("--param", required=True, help=f"one of {', '.join(SWEEP_PARAMETERS)}")
     swp.add_argument("--grid", help="lo:hi:n or lo:hi:n:log (default: built-in range)")
-    swp.add_argument("--workers", type=int, help="sweep worker threads (overrides config; 0: one per core)")
     return parser
 
 
@@ -278,7 +275,7 @@ def main(argv=None) -> int:
             perturb = _parse_perturb(args.perturb) if args.perturb else None
             return cmd_simulate(cfg, _ensure_outdir(out_dir), perturb)
         if args.command == "sweep":
-            return cmd_sweep(cfg, _ensure_outdir(out_dir), args.param, args.grid, args.workers)
+            return cmd_sweep(cfg, _ensure_outdir(out_dir), args.param, args.grid)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

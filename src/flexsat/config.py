@@ -82,7 +82,7 @@ class RunConfig:
 
     sweep_points: int = 25
     sweep_scale: str = "log"
-    workers: int = 0  # 0 means available parallelism
+    workers: int = 0  # validated and echoed in the manifest; sweeps run serially and ignore it
 
     out_dir: str = "out"
     seed: int = 0

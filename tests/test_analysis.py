@@ -72,7 +72,7 @@ def test_transfer_error_report(params):
 
 
 def test_sweep_single_point_matches_direct(default_config, ss10, passive_loop, passive_trace):
-    res = analysis.sweep(default_config.with_overrides(workers=1), "c1", [2.5])
+    res = analysis.sweep(default_config, "c1", [2.5])
     assert res.stable[0]
     assert res.margin[0] == pytest.approx(analysis.stability_margin(passive_loop.Ae), rel=1e-10)
     assert res.l2sq[0] == pytest.approx(fx.error_metrics(passive_trace).l2sq, rel=1e-10)
@@ -81,7 +81,7 @@ def test_sweep_single_point_matches_direct(default_config, ss10, passive_loop, p
 def test_sweep_observer_single_point_matches_direct(default_config, ss10):
     # the sweep propagates only the error rows; integrate propagates the trace's
     for kind, parameter, value in (("observer", "r0", 0.1), ("passive", "c1", 2.5)):
-        cfg = default_config.with_overrides(controller_kind=kind, workers=1, **{parameter: value})
+        cfg = default_config.with_overrides(controller_kind=kind, **{parameter: value})
         res = analysis.sweep(cfg, parameter, [value])
         cl = fx.assemble_closed_loop(ss10, analysis.controller_from_config(cfg, ss10))
         trace = analysis.simulate_from_config(cfg, cl)
@@ -100,7 +100,7 @@ def test_sweep_propagates_error_rows_only(default_config, monkeypatch):
         return propagate(A, x0, T, dt, C)
 
     monkeypatch.setattr(fx.simulate, "propagate_autonomous", counting)
-    cfg = default_config.with_overrides(controller_kind="observer", workers=1)
+    cfg = default_config.with_overrides(controller_kind="observer")
     res = analysis.sweep(cfg, "r0", [0.05, 0.1, 0.2])
     assert res.stable.all()
     assert rows == [2, 2, 2]
@@ -115,7 +115,7 @@ def test_sweep_projects_initial_state_once(default_config, monkeypatch):
         return project(*args)
 
     monkeypatch.setattr(analysis, "project_initial_state", counting)
-    res = analysis.sweep(default_config.with_overrides(workers=1), "c1", [2.0, 2.5, 3.0])
+    res = analysis.sweep(default_config, "c1", [2.0, 2.5, 3.0])
     assert res.stable.all()
     assert len(calls) == 1
 
@@ -136,7 +136,7 @@ def test_sweep_solves_sylvester_once(default_config, monkeypatch, kind, paramete
 
     for module in (analysis, fx.synthesis):
         monkeypatch.setattr(module, "solve_sylvester_H", counting)
-    cfg = default_config.with_overrides(controller_kind=kind, workers=1)
+    cfg = default_config.with_overrides(controller_kind=kind)
     res = analysis.sweep(cfg, parameter, grid)
     assert res.stable.all()
     assert len(calls) == solves
@@ -154,7 +154,7 @@ def _observer_point(cfg):
 def test_observer_sweep_margin_is_separation_margin(default_config, n_basis):
     # spec(Ae) = spec(A) twice with spec(G1 + B1 K1); on the reference plant
     # the servo spectrum binds, and the full eig of Ae agrees
-    cfg = default_config.with_overrides(controller_kind="observer", n_basis=n_basis, workers=1)
+    cfg = default_config.with_overrides(controller_kind="observer", n_basis=n_basis)
     ss, ctrl, cl = _observer_point(cfg)
     res = analysis.sweep(cfg, "r0", [cfg.r0])
     servo_margin = analysis.stability_margin(ctrl.servo)
@@ -164,7 +164,7 @@ def test_observer_sweep_margin_is_separation_margin(default_config, n_basis):
 
 
 def test_observer_sweep_margins_match_full_eig(default_config):
-    cfg = default_config.with_overrides(controller_kind="observer", workers=1)
+    cfg = default_config.with_overrides(controller_kind="observer")
     grid = [0.05, 0.1, 0.2]
     res = analysis.sweep(cfg, "r0", grid)
     full = [analysis.stability_margin(_observer_point(cfg.with_overrides(r0=r0))[2].Ae) for r0 in grid]
@@ -177,7 +177,7 @@ def test_observer_sweep_margin_binds_on_plant(default_config):
     # weak damping puts the plant spectrum, doubled in Ae, to the right of the
     # servo spectrum; the double eigenvalue splits by about sqrt(eps) in a
     # full eig of Ae, so the separation margin is the plant margin itself
-    cfg = default_config.with_overrides(controller_kind="observer", gamma=0.1, workers=1)
+    cfg = default_config.with_overrides(controller_kind="observer", gamma=0.1)
     ss, ctrl, cl = _observer_point(cfg)
     plant_margin = analysis.stability_margin(ss.A)
     assert plant_margin < analysis.stability_margin(ctrl.servo)
@@ -196,7 +196,7 @@ def test_observer_sweep_takes_no_closed_loop_eig(default_config, monkeypatch):
 
     for module in (fx.discretize, analysis, fx.synthesis):
         monkeypatch.setattr(module, "spectral_abscissa", counting)
-    cfg = default_config.with_overrides(controller_kind="observer", workers=1)
+    cfg = default_config.with_overrides(controller_kind="observer")
     n = analysis.plant_from_config(cfg).n
     res = analysis.sweep(cfg, "r0", [0.05, 0.1, 0.2])
     assert res.stable.all()
@@ -204,18 +204,25 @@ def test_observer_sweep_takes_no_closed_loop_eig(default_config, monkeypatch):
     assert sizes.count(n) == 2  # the Sylvester solve's stability check and the plant margin
 
 
-def test_sweep_runs_concurrently(default_config):
-    grid = [2.0, 2.5, 3.0]
-    seq = analysis.sweep(default_config.with_overrides(workers=1), "c1", grid)
-    par = analysis.sweep(default_config.with_overrides(workers=3), "c1", grid)
-    assert np.array_equal(seq.margin, par.margin)
-    assert np.array_equal(seq.l2sq, par.l2sq)
+@pytest.mark.parametrize("kind, parameter, grid", [
+    ("passive", "c1", [2.0, 2.5, 3.0]),
+    ("observer", "r0", [0.05, 0.1, 0.2]),
+], ids=["passive-c1", "observer-r0"])
+def test_sweep_equals_points_swept_one_at_a_time(default_config, kind, parameter, grid):
+    # the points share the plant, x0, and for the observer H and the plant
+    # margin; no point may leave a trace in what the next one reads
+    cfg = default_config.with_overrides(controller_kind=kind)
+    res = analysis.sweep(cfg, parameter, grid)
+    alone = [analysis.sweep(cfg, parameter, [value]) for value in grid]
+    assert res.stable.all()
+    for name in ("margin", "l2sq", "stable"):
+        assert np.array_equal(getattr(res, name), np.concatenate([getattr(r, name) for r in alone]))
 
 
 def test_sweep_records_synthesis_failures():
     # undamped plant: the observer synthesis refuses every grid point, and
     # the sweep must complete with all points flagged
-    cfg = RunConfig(gamma=0.0, controller_kind="observer", n_basis=4, workers=1)
+    cfg = RunConfig(gamma=0.0, controller_kind="observer", n_basis=4)
     res = analysis.sweep(cfg, "r0", [0.05, 0.1])
     assert not np.any(res.stable)
     assert np.all(np.isnan(res.margin))
@@ -245,9 +252,8 @@ def test_sweep_rejects_inapplicable_parameter(default_config):
 
 def test_sweep_csv_deterministic(tmp_path, default_config):
     grid = [2.0, 4.0]
-    cfg = default_config.with_overrides(workers=2)
-    a = analysis.sweep(cfg, "c2", grid)
-    b = analysis.sweep(cfg, "c2", grid)
+    a = analysis.sweep(default_config, "c2", grid)
+    b = analysis.sweep(default_config, "c2", grid)
     pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
     a.to_csv(pa)
     b.to_csv(pb)

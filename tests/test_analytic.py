@@ -1,4 +1,4 @@
-"""Closed-form layer: wavenumber, characteristic roots, mode shapes, transfers."""
+"""Closed-form layer: wavenumber, characteristic roots, transfers."""
 
 import cmath
 import math
@@ -33,17 +33,6 @@ def mu_bisection_oracle(k, iters=200):
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)
-
-
-def raw_mode_shapes(mu, xi, p):
-    """Textbook (unscaled) clamped-free mode shape pair, unnormalized."""
-    Ch = math.cosh(mu) + math.cos(mu)
-    Sh = math.sinh(mu) - math.sin(mu)
-    f = Ch * (np.cosh(mu * xi) - np.cos(mu * xi)) - Sh * (np.sinh(mu * xi) - np.sin(mu * xi))
-    g = (Ch * (np.cosh(mu * xi) + np.cos(mu * xi)) - Sh * (np.sinh(mu * xi) + np.sin(mu * xi))) / (
-        1j * math.sqrt(p.rho * p.a * p.E * p.I)
-    )
-    return f, g
 
 
 # --- wavenumber ---------------------------------------------------------------
@@ -119,83 +108,6 @@ def test_beam_mu_asymptote_monotone():
 def test_beam_mu_rejects_bad_index():
     with pytest.raises(ValueError):
         fx.beam_mu(0)
-
-
-# --- eigenfunctions -----------------------------------------------------------
-
-
-def test_eigenfunction_clamped_at_hub(params):
-    for k in range(1, 7):
-        f0, _ = fx.beam_eigenfunction(k, 0.0, params)
-        f1, _ = fx.beam_eigenfunction(k, 0.0, params, order=1)
-        scale = abs(fx.beam_eigenfunction(k, 1.0, params)[0][0])
-        assert abs(f0[0]) < 1e-13 * max(scale, 1.0)
-        assert abs(f1[0]) < 1e-12 * max(scale, 1.0) * fx.beam_mu(k)
-
-
-def test_eigenfunction_free_end(params):
-    for k in range(1, 6):
-        _, g0 = fx.beam_eigenfunction(k, 1.0, params)
-        _, g1 = fx.beam_eigenfunction(k, 1.0, params, order=1)
-        assert abs(g0[0]) < 1e-10
-        assert abs(g1[0]) < 1e-10 * fx.beam_mu(k)
-
-
-def raw_mode_shapes_second(mu, xi, p):
-    """Second spatial derivative of the raw shapes, divided by mu^2."""
-    Ch = math.cosh(mu) + math.cos(mu)
-    Sh = math.sinh(mu) - math.sin(mu)
-    f2 = Ch * (np.cosh(mu * xi) + np.cos(mu * xi)) - Sh * (np.sinh(mu * xi) + np.sin(mu * xi))
-    g2 = (Ch * (np.cosh(mu * xi) - np.cos(mu * xi)) - Sh * (np.sinh(mu * xi) - np.sin(mu * xi))) / (
-        1j * math.sqrt(p.rho * p.a * p.E * p.I)
-    )
-    return f2, g2
-
-
-def test_eigenfunction_ode_residual(params):
-    # cross-check the scaled evaluation against the plain textbook formulas:
-    # the pair must satisfy -EI g'' = i lam f and (rho a)^{-1} f'' = i lam g
-    xi = np.linspace(0.0, 1.0, 101)
-    for k in (1, 2, 3):
-        pair = fx.beam_eigenpair(k, params)
-        f, g = fx.beam_eigenfunction(k, xi, params)
-        fraw, _ = raw_mode_shapes(pair.mu, xi, params)
-        # match the package normalization at one interior point
-        scale = f[50].real / fraw[50].real
-        f2, g2 = raw_mode_shapes_second(pair.mu, xi, params)
-        f2 = scale * pair.mu**2 * f2
-        g2 = scale * pair.mu**2 * g2
-        norm = pair.lam * max(np.max(np.abs(f)), np.max(np.abs(g)))
-        assert np.max(np.abs(-params.EI * g2 - 1j * pair.lam * f)) < 1e-8 * norm
-        assert np.max(np.abs(f2 / params.rho_a - 1j * pair.lam * g)) < 1e-8 * norm
-
-
-def test_eigenfunction_unit_energy_norm(params):
-    # independent quadrature oracle: 200-point Gauss rule
-    xg, wg = np.polynomial.legendre.leggauss(200)
-    xi = 0.5 * (xg + 1.0)
-    w = 0.5 * wg
-    for k in range(1, 6):
-        f, g = fx.beam_eigenfunction(k, xi, params)
-        nrm = np.sum(w * (np.abs(f) ** 2 / params.rho_a + params.EI * np.abs(g) ** 2))
-        assert nrm == pytest.approx(1.0, abs=1e-10)
-
-
-def test_eigenfunction_scaled_evaluation_large_k(params):
-    # mu_k xi > 30 regime: values must stay finite and normalized
-    xg, wg = np.polynomial.legendre.leggauss(400)
-    xi = 0.5 * (xg + 1.0)
-    w = 0.5 * wg
-    f, g = fx.beam_eigenfunction(15, xi, params)
-    assert np.all(np.isfinite(f.real)) and np.all(np.isfinite(g.imag))
-    nrm = np.sum(w * (np.abs(f) ** 2 / params.rho_a + params.EI * np.abs(g) ** 2))
-    assert nrm == pytest.approx(1.0, rel=1e-8)
-
-
-def test_eigenpair_lambda(params):
-    pair = fx.beam_eigenpair(1, params)
-    assert pair.lam == pytest.approx(math.sqrt(params.EI / params.rho_a) * pair.mu**2, rel=1e-14)
-    assert pair.beta > 0.0
 
 
 # --- transfer functions -------------------------------------------------------
@@ -299,15 +211,6 @@ def test_plant_transfer_nonsingular(params):
 def test_plant_transfer_conjugate_symmetry(params):
     for w in (0.4, 1.0, 3.3, 12.0):
         assert np.allclose(fx.plant_transfer(-w, params), np.conj(fx.plant_transfer(w, params)), atol=1e-13)
-
-
-def test_coupling_diagonals_floor(params):
-    # the moduli of the interconnection diagonals stay above a positive floor
-    lows = []
-    for w in np.geomspace(0.5, 1e4, 400):
-        q1, q2 = fx.coupling_diagonals(w, params)
-        lows.append(min(abs(q1), abs(q2)))
-    assert min(lows) > 0.25
 
 
 def test_frequency_constants_match_naive(params):

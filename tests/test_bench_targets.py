@@ -49,7 +49,7 @@ def test_observer_sweep_points_traced_as_controller_builds():
     t = tracer.Tracer()
     t.install()
     try:
-        cfg = RunConfig(controller_kind="observer", workers=1)
+        cfg = RunConfig(controller_kind="observer")
         analysis.sweep(cfg, "r0", [0.05, 0.1, 0.2])
     finally:
         t.uninstall()

@@ -221,7 +221,7 @@ def test_sweep_log_grid(tmp_path):
     out = tmp_path / "swlog"
     rc = cli.main([
         "--config", str(path), "--out", str(out),
-        "sweep", "--param", "c1", "--grid", "1:4:3:log", "--workers", "2",
+        "sweep", "--param", "c1", "--grid", "1:4:3:log",
     ])
     assert rc == 0
     lines = (out / "sweep_c1.csv").read_text().splitlines()
@@ -242,10 +242,16 @@ def test_sweep_empty_grid_exits_2(tmp_path):
 
 def test_sweep_inapplicable_parameter_exits_2(tmp_path):
     path, _ = write_config(tmp_path)  # passive controller
-    for args in (["--param", "q0", "--grid", "1:2:2"], ["--param", "q0"], ["--param", "zz"],
-                 ["--param", "c1", "--grid", "1:2:2", "--workers", "-3"]):
+    for args in (["--param", "q0", "--grid", "1:2:2"], ["--param", "q0"], ["--param", "zz"]):
         rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"), "sweep", *args])
         assert rc == 2, args
+    # [sweep] workers is unused but still validated: a negative count is refused
+    text = path.read_text()
+    assert "\nworkers = 0\n" in text
+    path.write_text(text.replace("\nworkers = 0\n", "\nworkers = -1\n"))
+    rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"),
+                   "sweep", "--param", "c1", "--grid", "1:2:2"])
+    assert rc == 2
 
 
 def test_analyze_writes_reports(tmp_path):
