@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
-from .config import RunConfig
+from .config import RunConfig, sweep_range
 from .discretize import LinearStateSpace, assemble, galerkin_transfer, project_initial_state, spectral_abscissa
 from .simulate import SimulationTrace, integrate, integrated_square_error, tracking_error, write_csv
 from .synthesis import (
@@ -128,20 +128,18 @@ class SweepResult:
         write_csv(path, ("param", "value", "margin", "l2sq", "stable"), rows)
 
 
-_PASSIVE_PARAMS = ("c1", "c2")
-_OBSERVER_PARAMS = ("q0", "r0")
-
-
 def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
     """Synthesize, close the loop, and simulate across one parameter grid.
 
-    Every grid value must make a valid RunConfig (a gain is positive and
+    parameter must be a gain of the configured controller kind (sweep_range),
+    and every grid value must make a valid RunConfig (a gain is positive and
     finite), else the sweep raises ConfigError before any point runs.
     Unstable closed loops and synthesis failures are flagged in ``stable``
     and carry NaN metrics; the sweep always completes.  Work that depends on
-    the plant alone (initial state, observer Sylvester solution, plant
-    margin) is done once; a point's margin is closed_loop_margin, and a stable
-    point integrates ||e||^2 over its tracking error (tracking_error).
+    the plant and signals alone (initial state, signal specs, observer
+    Sylvester solution, plant margin) is done once; a point's margin is
+    closed_loop_margin, and a stable point integrates ||e||^2 over its
+    tracking error (tracking_error).
     The points run in order: each one's work is multithreaded BLAS calls, so
     running points on threads of their own measured slower, not faster.
     """
@@ -150,15 +148,11 @@ def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
         raise ValueError("sweep grid must be nonempty")
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("sweep grid must be strictly increasing")
-    allowed = _PASSIVE_PARAMS if cfg.controller_kind == "passive" else _OBSERVER_PARAMS
-    if parameter not in allowed:
-        raise ValueError(
-            f"parameter {parameter!r} does not apply to the {cfg.controller_kind} controller "
-            f"(choose from {allowed})"
-        )
+    sweep_range(cfg.controller_kind, parameter)
     points = [cfg.with_overrides(**{parameter: float(value)}) for value in grid]
     ss = plant_from_config(cfg)
     x0_plant = project_initial_state(cfg.initial_profiles(), ss)
+    yref, wd = cfg.yref_spec(), cfg.wd_spec()
     H = plant_margin = None
     if cfg.controller_kind == "observer":
         try:
@@ -176,7 +170,7 @@ def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
             if margin <= 0.0:
                 return np.nan, np.nan, False
             x0 = np.concatenate([x0_plant, np.zeros(ctrl.n_c)])
-            t, e = tracking_error(cl, x0, cfg.yref_spec(), cfg.wd_spec(), cfg.t_final, cfg.dt)
+            t, e = tracking_error(cl, x0, yref, wd, cfg.t_final, cfg.dt)
             return margin, integrated_square_error(t, e), True
         except (RuntimeError, ValueError):
             return np.nan, np.nan, False

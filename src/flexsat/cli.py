@@ -13,7 +13,7 @@ import numpy as np
 
 from . import analysis, analytic
 from .config import (
-    SWEEP_PARAMETERS,
+    SWEEP_RANGES,
     ConfigError,
     RunConfig,
     default_sweep_grid,
@@ -23,8 +23,6 @@ from .config import (
 from .discretize import assemble
 from .simulate import error_metrics, write_csv
 from .synthesis import (
-    CARE_RESIDUAL_RTOL,
-    SYLVESTER_RESIDUAL_RTOL,
     assemble_closed_loop,
     build_observer_controller,
     regulation_zero_check,
@@ -145,17 +143,14 @@ def cmd_validate(cfg: RunConfig) -> int:
             res = max(res, float(np.abs(ident - np.eye(2)).max()))
         rep.add("s_matrix_identity", "pass" if res < 1e-12 else "fail", f"max residual = {res:.3e}")
 
-        # one observer build: its residuals are checked, and on an observer
-        # config it is also the controller of the closed loop
+        # one observer build: its solvers raise on a residual over their
+        # bound, so these rows report the residuals they accepted; on an
+        # observer config it is also the controller of the closed loop
         H = solve_sylvester_H(ss, cfg.frequencies)
         observer = build_observer_controller(ss, cfg.frequencies, cfg.q0, cfg.r0, H)
-        sylres = sylvester_residual(ss, cfg.frequencies, H)
-        rep.add("sylvester_residual", "pass" if sylres < SYLVESTER_RESIDUAL_RTOL else "fail",
-                f"relative residual = {sylres:.3e}")
-
-        relres = observer.care_residual
-        rep.add("care_residual", "pass" if relres < CARE_RESIDUAL_RTOL else "fail",
-                f"relative residual = {relres:.3e}")
+        rep.add("sylvester_residual", "pass",
+                f"relative residual = {sylvester_residual(ss, cfg.frequencies, H):.3e}")
+        rep.add("care_residual", "pass", f"relative residual = {observer.care_residual:.3e}")
 
         if cfg.controller_kind == "observer":
             ctrl = observer
@@ -257,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="integrate the closed loop and write trace files")
     sim.add_argument("--perturb", help="plant perturbation factors, e.g. gamma=0.9,m=1.1")
     swp = sub.add_parser("sweep", help="sweep one controller parameter")
-    swp.add_argument("--param", required=True, help=f"one of {', '.join(SWEEP_PARAMETERS)}")
+    gains = "; ".join(f"{', '.join(r)} ({kind})" for kind, r in SWEEP_RANGES.items())
+    swp.add_argument("--param", required=True, help=f"gain of the configured controller: {gains}")
     swp.add_argument("--grid", help="lo:hi:n or lo:hi:n:log (default: built-in range)")
     return parser
 

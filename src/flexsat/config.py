@@ -18,6 +18,7 @@ import numpy as np
 from .discretize import InitialProfiles
 from .params import PhysicalParams
 from .simulate import SignalSpec
+from .synthesis import internal_model
 
 
 class ConfigError(ValueError):
@@ -26,10 +27,12 @@ class ConfigError(ValueError):
 
 INITIAL_PROFILE_PRESETS = ("parabolic_moment", "zero", "custom")
 CONTROLLER_KINDS = ("passive", "observer")
-SWEEP_PARAMETERS = ("c1", "c2", "q0", "r0")
 
-# default sweep ranges (lo, hi) per tunable parameter
-SWEEP_RANGES = {"c1": (0.5, 10.0), "c2": (0.5, 10.0), "q0": (1.0, 100.0), "r0": (0.01, 1.0)}
+# the gains each controller kind can sweep, with their default ranges (lo, hi)
+SWEEP_RANGES = {
+    "passive": {"c1": (0.5, 10.0), "c2": (0.5, 10.0)},
+    "observer": {"q0": (1.0, 100.0), "r0": (0.01, 1.0)},
+}
 
 
 def _numbers(value):
@@ -93,6 +96,7 @@ class RunConfig:
                 raise ConfigError(f"{f.name} must be finite")
         try:
             self.physical()
+            internal_model(self.frequencies)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.n_basis < 1:
@@ -102,20 +106,13 @@ class RunConfig:
         for name in ("c1", "c2", "q0", "r0"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be positive")
-        freqs = self.frequencies
-        if not freqs or any(f < 0 for f in freqs) or list(freqs) != sorted(set(freqs)):
-            raise ConfigError("frequencies must be nonnegative, strictly increasing, duplicate-free")
-        q = len(self.positive_frequencies())
-        for name, rows, dim in (
-            ("yref_cos", self.yref_cos, 2),
-            ("yref_sin", self.yref_sin, 2),
-            ("wd_cos", self.wd_cos, 4),
-            ("wd_sin", self.wd_sin, 4),
-        ):
-            if len(rows) != q or any(len(r) != dim for r in rows):
-                raise ConfigError(f"{name} must have {q} rows of {dim} entries")
         if len(self.yref_const) != 2 or len(self.wd_const) != 4 or len(self.hub_velocity) != 2:
             raise ConfigError("yref offset needs 2 entries, wd offset 4 and hub_velocity 2")
+        for name, spec in (("yref", self.yref_spec), ("wd", self.wd_spec)):
+            try:
+                spec()
+            except ValueError as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
         if self.t_final <= 0 or self.dt <= 0 or self.t_final < self.dt:
             raise ConfigError("need t_final >= dt > 0")
         if self.initial_profile not in INITIAL_PROFILE_PRESETS:
@@ -289,11 +286,21 @@ def write_manifest(cfg: RunConfig, path) -> None:
         fh.write(config_to_ini(cfg))
 
 
+def sweep_range(kind: str, parameter: str) -> tuple:
+    """Default (lo, hi) range of a gain the kind's controller can sweep."""
+    ranges = SWEEP_RANGES[kind]
+    if parameter not in ranges:
+        raise ConfigError(
+            f"parameter {parameter!r} does not apply to the {kind} controller "
+            f"(choose from {', '.join(ranges)})"
+        )
+    return ranges[parameter]
+
+
 def default_sweep_grid(cfg: RunConfig, parameter: str) -> np.ndarray:
-    """Default grid for one tunable parameter (log-spaced over its range)."""
-    if parameter not in SWEEP_RANGES:
-        raise ConfigError(f"unknown sweep parameter {parameter!r}")
-    lo, hi = SWEEP_RANGES[parameter]
+    """cfg.sweep_points values of a gain over its SWEEP_RANGES range, log- or
+    linearly spaced as cfg.sweep_scale says; the gain must suit the controller."""
+    lo, hi = sweep_range(cfg.controller_kind, parameter)
     if cfg.sweep_scale == "log":
         return np.geomspace(lo, hi, cfg.sweep_points)
     return np.linspace(lo, hi, cfg.sweep_points)

@@ -28,7 +28,8 @@ class SignalSpec:
 
     ``freqs`` are the strictly positive frequencies; the constant offset is
     carried separately.  Coefficient arrays have one row per frequency and
-    one column per signal channel.
+    one column per signal channel; with no frequency, an empty table is the
+    (0, dim) table of a constant-only signal.
     """
 
     freqs: tuple
@@ -44,18 +45,15 @@ class SignalSpec:
         const = np.atleast_1d(np.asarray(const, dtype=float))
         dim = const.size
         q = len(freqs)
-        cos_c = np.zeros((q, dim)) if cos_coeffs is None else np.asarray(cos_coeffs, dtype=float)
-        sin_c = np.zeros((q, dim)) if sin_coeffs is None else np.asarray(sin_coeffs, dtype=float)
-        if cos_c.shape != (q, dim) or sin_c.shape != (q, dim):
-            raise ValueError(
-                f"coefficient tables must be ({q}, {dim}); got {cos_c.shape} and {sin_c.shape}"
-            )
-        return cls(
-            freqs=freqs,
-            const=tuple(const),
-            cos_coeffs=tuple(map(tuple, cos_c)),
-            sin_coeffs=tuple(map(tuple, sin_c)),
-        )
+
+        def table(coeffs):
+            rows = np.zeros((q, dim)) if coeffs is None else coeffs
+            if len(rows) != q or any(np.shape(row) != (dim,) for row in rows):
+                raise ValueError(f"coefficient tables must have {q} rows of {dim} entries")
+            return tuple(map(tuple, np.asarray(rows, dtype=float).reshape(q, dim)))
+
+        return cls(freqs=freqs, const=tuple(const),
+                   cos_coeffs=table(cos_coeffs), sin_coeffs=table(sin_coeffs))
 
     @property
     def dim(self) -> int:

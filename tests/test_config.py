@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 import flexsat as fx
-from flexsat.config import ConfigError, RunConfig, config_to_ini, default_sweep_grid, parse_config
+from flexsat import analysis
+from flexsat.config import (
+    SWEEP_RANGES,
+    ConfigError,
+    RunConfig,
+    config_to_ini,
+    default_sweep_grid,
+    parse_config,
+)
 
 
 def test_default_config_roundtrip():
@@ -74,6 +82,16 @@ def test_validation_errors():
         RunConfig(frequencies=(0.0, 1.0, 1.0))
     with pytest.raises(ConfigError):
         RunConfig(yref_cos=((1.0, 0.0),))  # wrong row count
+    with pytest.raises(ConfigError, match="yref"):
+        RunConfig(yref_cos=((3.0, 0.0), (0.0,), (0.0, 0.0)))  # ragged row
+    with pytest.raises(ConfigError, match="yref"):
+        RunConfig(yref_sin=((0.0, 0.0, 0.0),) * 3)  # wrong column count
+    with pytest.raises(ConfigError, match="wd"):
+        RunConfig(wd_cos=((0.0,) * 4,) * 2)  # wrong row count
+    with pytest.raises(ConfigError, match="frequencies"):
+        RunConfig(frequencies=(-1.0, 0.0, 1.0, 2.0))
+    with pytest.raises(ConfigError, match="frequency list"):
+        RunConfig(frequencies=())
     with pytest.raises(ConfigError):
         RunConfig(t_final=0.001, dt=0.01)
     with pytest.raises(ConfigError):
@@ -120,7 +138,31 @@ def test_default_sweep_grids():
     cfg = RunConfig(sweep_points=5)
     g = default_sweep_grid(cfg, "c1")
     assert g.size == 5 and g[0] == pytest.approx(0.5) and g[-1] == pytest.approx(10.0)
-    g2 = default_sweep_grid(cfg.with_overrides(sweep_scale="linear"), "r0")
+    obs = cfg.with_overrides(controller_kind="observer", sweep_scale="linear")
+    g2 = default_sweep_grid(obs, "r0")
     assert np.allclose(np.diff(g2), np.diff(g2)[0])
     with pytest.raises(ConfigError):
         default_sweep_grid(cfg, "mass")
+
+
+def test_constant_only_signals():
+    # with no positive frequency, empty coefficient tables are the (0, dim) tables
+    cfg = parse_config("[signals]\nfrequencies = 0.0\nyref_cos =\nyref_sin =\nwd_cos =\nwd_sin =\n")
+    assert cfg.yref_spec().freqs == () and cfg.yref_spec().const == (1.0, 2.0)
+    assert np.allclose(fx.eval_signal(cfg.wd_spec(), 3.0), [0.0, 0.0, 10.0, 15.0], atol=0.0)
+    assert parse_config(config_to_ini(cfg)) == cfg
+
+
+@pytest.mark.parametrize("kind", sorted(SWEEP_RANGES))
+def test_sweep_gains_follow_controller_kind(kind):
+    cfg = RunConfig(controller_kind=kind, sweep_points=3)
+    for gain, (lo, hi) in SWEEP_RANGES[kind].items():
+        grid = default_sweep_grid(cfg, gain)
+        assert grid[0] == pytest.approx(lo) and grid[-1] == pytest.approx(hi)
+    others = [g for k, ranges in SWEEP_RANGES.items() if k != kind for g in ranges]
+    assert others
+    for gain in others:
+        with pytest.raises(ConfigError, match=f"{kind} controller"):
+            default_sweep_grid(cfg, gain)
+        with pytest.raises(ConfigError, match=f"{kind} controller"):
+            analysis.sweep(cfg, gain, [1.0])
