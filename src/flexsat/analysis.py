@@ -131,7 +131,7 @@ class SweepResult:
 def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
     """Synthesize, close the loop, and simulate across one parameter grid.
 
-    parameter must be a gain of the configured controller kind (sweep_range),
+    parameter must be a gain that changes the configured controller (sweep_range),
     and every grid value must make a valid RunConfig (a gain is positive and
     finite), else the sweep raises ConfigError before any point runs.
     Unstable closed loops and synthesis failures are flagged in ``stable``
@@ -148,7 +148,7 @@ def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
         raise ValueError("sweep grid must be nonempty")
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("sweep grid must be strictly increasing")
-    sweep_range(cfg.controller_kind, parameter)
+    sweep_range(cfg, parameter)
     points = [cfg.with_overrides(**{parameter: float(value)}) for value in grid]
     ss = plant_from_config(cfg)
     x0_plant = project_initial_state(cfg.initial_profiles(), ss)

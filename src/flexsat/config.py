@@ -108,6 +108,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive")
         if len(self.yref_const) != 2 or len(self.wd_const) != 4 or len(self.hub_velocity) != 2:
             raise ConfigError("yref offset needs 2 entries, wd offset 4 and hub_velocity 2")
+        if 0.0 not in self.frequencies and any(self.yref_const + self.wd_const):
+            raise ConfigError("a nonzero yref_const or wd_const needs 0 in frequencies to be tracked")
         for name, spec in (("yref", self.yref_spec), ("wd", self.wd_spec)):
             try:
                 spec()
@@ -154,13 +156,11 @@ class RunConfig:
                 left_moment=lambda x: 4.0 * (1.0 + x) ** 2,
                 right_moment=lambda x: 4.0 * (1.0 - x) ** 2,
             )
-        def poly(coeffs):
-            return tuple(coeffs) if coeffs else None
-        return InitialProfiles(
-            left_velocity=poly(self.left_velocity),
-            right_velocity=poly(self.right_velocity),
-            left_moment=poly(self.left_moment),
-            right_moment=poly(self.right_moment),
+        return InitialProfiles(  # an empty coefficient list is a zero profile
+            left_velocity=self.left_velocity or None,
+            right_velocity=self.right_velocity or None,
+            left_moment=self.left_moment or None,
+            right_moment=self.right_moment or None,
             hub_velocity=tuple(self.hub_velocity),
         )
 
@@ -286,21 +286,21 @@ def write_manifest(cfg: RunConfig, path) -> None:
         fh.write(config_to_ini(cfg))
 
 
-def sweep_range(kind: str, parameter: str) -> tuple:
-    """Default (lo, hi) range of a gain the kind's controller can sweep."""
-    ranges = SWEEP_RANGES[kind]
+def sweep_range(cfg: RunConfig, parameter: str) -> tuple:
+    """Default (lo, hi) range of a gain that changes cfg's controller."""
+    ranges = SWEEP_RANGES[cfg.controller_kind]
     if parameter not in ranges:
-        raise ConfigError(
-            f"parameter {parameter!r} does not apply to the {kind} controller "
-            f"(choose from {', '.join(ranges)})"
-        )
+        raise ConfigError(f"parameter {parameter!r} does not apply to the {cfg.controller_kind} "
+                          f"controller (choose from {', '.join(ranges)})")
+    if parameter == "c1" and not cfg.positive_frequencies():  # c1 scales only rotation blocks
+        raise ConfigError("c1 has no effect without a positive frequency: every row would be equal")
     return ranges[parameter]
 
 
 def default_sweep_grid(cfg: RunConfig, parameter: str) -> np.ndarray:
     """cfg.sweep_points values of a gain over its SWEEP_RANGES range, log- or
     linearly spaced as cfg.sweep_scale says; the gain must suit the controller."""
-    lo, hi = sweep_range(cfg.controller_kind, parameter)
+    lo, hi = sweep_range(cfg, parameter)
     if cfg.sweep_scale == "log":
         return np.geomspace(lo, hi, cfg.sweep_points)
     return np.linspace(lo, hi, cfg.sweep_points)

@@ -296,17 +296,36 @@ def test_constant_only_config_runs_every_command(tmp_path):
     path, _ = write_config(tmp_path, frequencies=(0.0,), **tables)
     assert "\nyref_cos = \n" in path.read_text()
     out = tmp_path / "const"
-    for command in (["validate"], ["simulate"], ["analyze"], ["sweep", "--param", "c1", "--grid", "1:2:2"]):
+    for command in (["validate"], ["simulate"], ["analyze"], ["sweep", "--param", "c2", "--grid", "1:2:2"]):
         assert cli.main(["--config", str(path), "--out", str(out), *command]) == 0, command
     margin, l2sq, _ = np.loadtxt(out / "summary.csv", delimiter=",", skiprows=1)
     assert margin == pytest.approx(0.071612, abs=1e-6) and l2sq == pytest.approx(5.420112, abs=1e-6)
-    rows = (out / "sweep_c1.csv").read_text().splitlines()[1:]
+    rows = (out / "sweep_c2.csv").read_text().splitlines()[1:]
     assert len(rows) == 2 and all(row.endswith(",1") for row in rows)
 
     path, _ = write_config(tmp_path, frequencies=(0.0,), controller_kind="observer", **tables)
     assert cli.main(["--config", str(path), "--out", str(out), "simulate"]) == 0
     margin = np.loadtxt(out / "summary.csv", delimiter=",", skiprows=1)[0]
     assert margin == pytest.approx(1.0, abs=1e-6)
+
+
+def test_sweep_c1_without_positive_frequency_exits_2(tmp_path, capsys):
+    # c1 scales only the rotation blocks, so on a constant-only loop every row would be equal
+    tables = dict.fromkeys(("yref_cos", "yref_sin", "wd_cos", "wd_sin"), ())
+    path, _ = write_config(tmp_path, frequencies=(0.0,), **tables)
+    for grid in (["--grid", "1:2:2"], []):
+        rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"), "sweep", "--param", "c1", *grid])
+        assert rc == 2, grid
+        assert "c1" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "sweep_c1.csv").exists()
+
+
+def test_constant_offset_without_zero_frequency_exits_2(tmp_path, capsys):
+    path, _ = write_config(tmp_path)
+    path.write_text(path.read_text().replace("frequencies = 0.0 1.0 2.0 5.0", "frequencies = 1.0 2.0 5.0"))
+    for command in ("validate", "simulate"):
+        assert cli.main(["--config", str(path), "--out", str(tmp_path / "x"), command]) == 2, command
+        assert "needs 0 in frequencies" in capsys.readouterr().err
 
 
 def test_analyze_writes_reports(tmp_path):

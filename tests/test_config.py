@@ -153,6 +153,30 @@ def test_constant_only_signals():
     assert parse_config(config_to_ini(cfg)) == cfg
 
 
+def test_constant_offset_needs_zero_frequency():
+    # the internal model tracks a constant only when 0 is among the frequencies
+    for name, const in (("yref_const", (1.0, 0.0)), ("wd_const", (0.0, 0.0, 0.0, -2.0))):
+        zeroed = dict(yref_const=(0.0, 0.0), wd_const=(0.0,) * 4)
+        zeroed[name] = const
+        with pytest.raises(ConfigError, match="needs 0 in frequencies"):
+            RunConfig(frequencies=(1.0, 2.0, 5.0), **zeroed)
+    with pytest.raises(ConfigError, match="needs 0 in frequencies"):
+        parse_config("[signals]\nfrequencies = 1.0 2.0 5.0\n")
+    # zero offsets need no zero frequency
+    cfg = RunConfig(frequencies=(1.0, 2.0, 5.0), yref_const=(0.0, 0.0), wd_const=(0.0,) * 4)
+    assert cfg.yref_spec().const == (0.0, 0.0)
+
+
+def test_c1_sweep_needs_a_positive_frequency():
+    tables = dict.fromkeys(("yref_cos", "yref_sin", "wd_cos", "wd_sin"), ())
+    cfg = RunConfig(frequencies=(0.0,), sweep_points=3, **tables)
+    with pytest.raises(ConfigError, match="c1"):
+        default_sweep_grid(cfg, "c1")
+    with pytest.raises(ConfigError, match="c1"):
+        analysis.sweep(cfg, "c1", [1.0, 2.0])
+    assert default_sweep_grid(cfg, "c2").size == 3
+
+
 @pytest.mark.parametrize("kind", sorted(SWEEP_RANGES))
 def test_sweep_gains_follow_controller_kind(kind):
     cfg = RunConfig(controller_kind=kind, sweep_points=3)

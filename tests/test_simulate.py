@@ -156,10 +156,11 @@ def test_propagate_detects_blowup():
     A = np.array([[400.0]])
     with pytest.raises(RuntimeError, match=r"non-finite at step 4 \(t = 2\)"):
         fx.propagate_autonomous(A, np.array([1.0]), 10.0, 0.5, np.eye(1))
-    # a growing mode that C does not see is caught at the next block start
+    # a growing mode that C does not see is caught at the next block start:
+    # 40 steps, so the one start after step 0 is step 32
     A = np.diag([400.0, -1.0])
-    with pytest.raises(RuntimeError, match=r"non-finite at step 8 \(t = 4\)"):
-        fx.propagate_autonomous(A, np.ones(2), 10.0, 0.5, np.array([[0.0, 1.0]]))
+    with pytest.raises(RuntimeError, match=r"non-finite at step 32 \(t = 16\)"):
+        fx.propagate_autonomous(A, np.ones(2), 20.0, 0.5, np.array([[0.0, 1.0]]))
 
 
 def step_loop(A, x0, T, dt):
@@ -181,9 +182,10 @@ def assert_matches_step_loop(A, x0, T, dt, C):
     assert np.max(np.abs(ys - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("steps", [1, 7, 8, 9, 3000])
+@pytest.mark.parametrize("steps", [1, 7, 8, 9, 31, 32, 33, 65, 3000])
 def test_propagate_blocked_matches_step_loop(steps):
-    # fewer steps than one block, exactly one block, and partial last blocks
+    # fewer steps than one block, exactly one block, one step past one and two
+    # blocks, and partial last blocks
     rng = np.random.default_rng(steps)
     A = 0.3 * rng.standard_normal((12, 12)) - np.eye(12)
     x0 = rng.standard_normal(12)
