@@ -5,8 +5,6 @@ closed-loop simulation, and stability diagnostics."""
 from .analysis import (
     SweepResult,
     resolvent_norm_scan,
-    spectral_abscissa,
-    stability_margin,
     sweep,
     transfer_error_report,
 )
@@ -27,6 +25,7 @@ from .discretize import (
     build_basis,
     galerkin_transfer,
     project_initial_state,
+    stability_margin,
 )
 from .params import PhysicalParams
 from .simulate import (
@@ -89,7 +88,6 @@ __all__ = [
     "SimulationTrace",
     "ErrorMetrics",
     "error_metrics",
-    "spectral_abscissa",
     "stability_margin",
     "resolvent_norm_scan",
     "transfer_error_report",

@@ -1,11 +1,11 @@
 """Spectral and frequency-domain diagnostics, and parameter sweeps.
 
-The stability margin is minus the spectral abscissa of the closed-loop state
-matrix; resolvent norms are sampled along the imaginary axis as the
-reciprocal smallest singular value of the shifted state matrix.  Sweeps vary
-one controller parameter at a time, recording margin and integrated squared
-tracking error per grid point, with unstable or failed syntheses flagged
-rather than aborting the sweep.
+A margin belongs to its system (LinearStateSpace.margin,
+ClosedLoopSystem.margin); stability_margin is re-exported from discretize.
+Resolvent norms are sampled along the imaginary axis as the reciprocal
+smallest singular value of the shifted state matrix.  Sweeps vary one
+controller parameter at a time, recording margin and integrated squared
+tracking error per grid point, with failed points flagged, not fatal.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,7 @@ import numpy as np
 
 from . import analytic
 from .config import RunConfig, sweep_range
-from .discretize import LinearStateSpace, assemble, galerkin_transfer, project_initial_state, spectral_abscissa
+from .discretize import LinearStateSpace, assemble, galerkin_transfer, project_initial_state, stability_margin
 from .simulate import SimulationTrace, integrate, integrated_square_error, tracking_error, write_csv
 from .synthesis import (
     ClosedLoopSystem,
@@ -26,28 +26,6 @@ from .synthesis import (
 )
 
 
-def stability_margin(A: np.ndarray) -> float:
-    """Decay exponent of the dynamics: minus the spectral abscissa."""
-    return -spectral_abscissa(A)
-
-
-def closed_loop_margin(cl: ClosedLoopSystem, plant_margin: float | None = None) -> float:
-    """Stability margin of a closed loop.
-
-    plant_margin is the margin of the plant the controller was designed on,
-    and the caller passes it only when cl is closed around that plant.  Then
-    an observer loop's spectrum is spec(A) twice together with spec(servo)
-    (see ControllerRealization), so its margin is the smaller of the plant and
-    servo margins, with no eigenvalue decomposition of the closed loop: a full
-    eig of Ae splits the doubled plant spectrum by about sqrt(eps).  In every
-    other case the margin is that of Ae.
-    """
-    servo = cl.controller.servo
-    if servo is None or plant_margin is None:
-        return stability_margin(cl.Ae)
-    return min(plant_margin, stability_margin(servo))
-
-
 def resolvent_norm_scan(ss: LinearStateSpace, omegas) -> np.ndarray:
     """||(i w I - A)^{-1}||_2 over a frequency grid.
 
@@ -55,7 +33,7 @@ def resolvent_norm_scan(ss: LinearStateSpace, omegas) -> np.ndarray:
     is the identity in the assembled coordinates this is the energy-norm
     resolvent of the discretized dynamics.
     """
-    if spectral_abscissa(ss.A) >= 0.0:
+    if ss.margin <= 0.0:
         raise RuntimeError("resolvent scan requires an exponentially stable system")
     omegas = np.asarray(omegas, dtype=float)
     out = np.empty(omegas.size)
@@ -137,9 +115,9 @@ def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
     Unstable closed loops and synthesis failures are flagged in ``stable``
     and carry NaN metrics; the sweep always completes.  Work that depends on
     the plant and signals alone (initial state, signal specs, observer
-    Sylvester solution, plant margin) is done once; a point's margin is
-    closed_loop_margin, and a stable point integrates ||e||^2 over its
-    tracking error (tracking_error).
+    Sylvester solution, and with it the plant's cached margin) is done once;
+    a point's margin is its loop's ClosedLoopSystem.margin, and a stable point
+    integrates ||e||^2 over its tracking error (tracking_error).
     The points run in order: each one's work is multithreaded BLAS calls, so
     running points on threads of their own measured slower, not faster.
     """
@@ -153,25 +131,23 @@ def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
     ss = plant_from_config(cfg)
     x0_plant = project_initial_state(cfg.initial_profiles(), ss)
     yref, wd = cfg.yref_spec(), cfg.wd_spec()
-    H = plant_margin = None
+    H = None
     if cfg.controller_kind == "observer":
         try:
             H = solve_sylvester_H(ss, cfg.frequencies)
         except (RuntimeError, ValueError):
             nan = np.full(grid.size, np.nan)
             return SweepResult(parameter, grid, nan, nan.copy(), np.zeros(grid.size, dtype=bool))
-        plant_margin = stability_margin(ss.A)
 
     def run_point(point: RunConfig):
         try:
             ctrl = controller_from_config(point, ss, H)
             cl = assemble_closed_loop(ss, ctrl)
-            margin = closed_loop_margin(cl, plant_margin)
-            if margin <= 0.0:
+            if cl.margin <= 0.0:
                 return np.nan, np.nan, False
             x0 = np.concatenate([x0_plant, np.zeros(ctrl.n_c)])
             t, e = tracking_error(cl, x0, yref, wd, cfg.t_final, cfg.dt)
-            return margin, integrated_square_error(t, e), True
+            return cl.margin, integrated_square_error(t, e), True
         except (RuntimeError, ValueError):
             return np.nan, np.nan, False
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .discretize import InitialProfiles
 from .params import PhysicalParams
-from .simulate import SignalSpec
+from .simulate import SignalSpec, grid_steps
 from .synthesis import internal_model
 
 
@@ -97,6 +97,7 @@ class RunConfig:
         try:
             self.physical()
             internal_model(self.frequencies)
+            grid_steps(self.t_final, self.dt)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.n_basis < 1:
@@ -115,8 +116,6 @@ class RunConfig:
                 spec()
             except ValueError as exc:
                 raise ConfigError(f"{name}: {exc}") from exc
-        if self.t_final <= 0 or self.dt <= 0 or self.t_final < self.dt:
-            raise ConfigError("need t_final >= dt > 0")
         if self.initial_profile not in INITIAL_PROFILE_PRESETS:
             raise ConfigError(f"initial profile must be one of {INITIAL_PROFILE_PRESETS}")
         if self.sweep_scale not in ("log", "linear"):
@@ -125,6 +124,8 @@ class RunConfig:
             raise ConfigError("sweep_points must be >= 1")
         if self.workers < 0:
             raise ConfigError("workers must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     # --- resolved objects ---
 

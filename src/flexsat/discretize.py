@@ -24,6 +24,7 @@ collocation identity H B = C^T holds bit-exactly, and A^T H + H A equals
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -113,6 +114,11 @@ class LinearStateSpace:
         """Mechanical energy of a plant state (elastic plus kinetic)."""
         x = np.asarray(x, dtype=float)
         return 0.5 * float(x @ self.H @ x)
+
+    @cached_property
+    def margin(self) -> float:
+        """Stability margin of A, computed on first use."""
+        return stability_margin(self.A)
 
 
 def _as_profile(fn):
@@ -285,9 +291,9 @@ def project_initial_state(profiles: InitialProfiles, ss: LinearStateSpace) -> np
     return x
 
 
-def spectral_abscissa(A: np.ndarray) -> float:
-    """Largest real part over the eigenvalues of a dense matrix; A is Hurwitz iff it is < 0."""
-    return float(np.max(np.linalg.eigvals(A).real))
+def stability_margin(A: np.ndarray) -> float:
+    """Minus the largest real part of eigvals(A): the decay rate of xd = A x, > 0 iff A is Hurwitz."""
+    return -float(np.max(np.linalg.eigvals(A).real))
 
 
 def shifted_solve(A: np.ndarray, omega: float, rhs: np.ndarray) -> np.ndarray:

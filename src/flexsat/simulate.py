@@ -117,6 +117,17 @@ def matrix_exponential(M: np.ndarray) -> np.ndarray:
     return E
 
 
+def grid_steps(t_final: float, dt: float) -> int:
+    """Steps of dt from 0 to t_final, a whole multiple of dt > 0 (to 1e-9 relative)."""
+    if not (dt > 0.0 and math.isfinite(t_final) and t_final >= dt):
+        raise ValueError(f"need t_final >= dt > 0, got t_final={t_final!r}, dt={dt!r}")
+    steps = round(t_final / dt)
+    if abs(t_final / dt - steps) > 1e-9 * steps:
+        raise ValueError(f"t_final={t_final!r} is not a whole multiple of dt={dt!r}: "
+                         f"the grid would end at {steps * dt!r}")
+    return steps
+
+
 def propagate_autonomous(A: np.ndarray, x0: np.ndarray, T: float, dt: float, C: np.ndarray) -> tuple:
     """Grid times and outputs Y[k] = C x_k of xd = A x from one exact step phi = exp(A dt).
 
@@ -130,9 +141,7 @@ def propagate_autonomous(A: np.ndarray, x0: np.ndarray, T: float, dt: float, C: 
     not see is caught at the next block start.  phi^B overflows once a mode's
     |lambda| dt exceeds about 22 (709 / B), raising even if x0 lacks the mode.
     """
-    if dt <= 0.0 or T < dt:
-        raise ValueError(f"need dt > 0 and T >= dt, got dt={dt!r}, T={T!r}")
-    nt = int(round(T / dt)) + 1
+    nt = grid_steps(T, dt) + 1
     n, m = A.shape[0], C.shape[0]
     nb = -(-(nt - 1) // _BLOCK)
     phi = matrix_exponential(A * dt)

@@ -16,11 +16,12 @@ realization it returns carries the Riccati residual.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
 
-from .discretize import LinearStateSpace, shifted_solve, spectral_abscissa
+from .discretize import LinearStateSpace, shifted_solve, stability_margin
 
 CARE_RESIDUAL_RTOL = 1e-8
 SYLVESTER_RESIDUAL_RTOL = 1e-8
@@ -87,18 +88,20 @@ def internal_model(freqs) -> InternalModel:
 class ControllerRealization:
     """Matrices (G1, G2, K, kappa) of a dynamic error-feedback controller.
 
-    servo is the Hurwitz servo matrix G1 + B1 K1 of an observer controller
-    (None otherwise).  Since K2 = K1 H and the plant copy has no error
-    injection, the loop closed around the plant the controller was designed on
-    is block-triangular in the coordinates (x - xhat, z1 + H xhat, xhat), so
-    its spectrum is spec(A) twice together with spec(servo).  care_residual is
-    the relative residual of the Riccati solution behind K1 (None otherwise).
+    An observer controller also carries design_plant, the plant it was built
+    on; servo, its Hurwitz servo matrix G1 + B1 K1; and care_residual, the
+    relative residual of the Riccati solution behind K1 (all None otherwise).
+    Since K2 = K1 H and the plant copy has no error injection, the loop closed
+    around design_plant is block-triangular in the coordinates
+    (x - xhat, z1 + H xhat, xhat), so its spectrum is spec(A) twice together
+    with spec(servo); around any other plant that structure is lost.
     """
 
     G1: np.ndarray
     G2: np.ndarray
     K: np.ndarray
     kappa: np.ndarray
+    design_plant: LinearStateSpace | None = None
     servo: np.ndarray | None = None
     care_residual: float | None = None
 
@@ -160,9 +163,8 @@ def solve_sylvester_H(ss: LinearStateSpace, freqs) -> np.ndarray:
     sqrt(2) Im R_w over sqrt(2) Re R_w.  The plant must be exponentially stable
     so that every shift is regular.
     """
-    margin = spectral_abscissa(ss.A)
-    if margin >= 0.0:
-        raise RuntimeError(f"plant must be exponentially stable (spectral abscissa {margin:.3e})")
+    if ss.margin <= 0.0:
+        raise RuntimeError(f"plant must be exponentially stable (stability margin {ss.margin:.3e})")
     im = internal_model(freqs)
     H = np.empty((im.dim, ss.n))
     s2 = np.sqrt(2.0)
@@ -243,7 +245,7 @@ def care_solve(A, B, Q, R):
     if eigs.min() < -1e-8 * max(eigs.max(), 1.0):
         raise RuntimeError("Riccati solution is not positive semidefinite")
     K = Rinv @ B.T @ P
-    if spectral_abscissa(A - B @ K) >= 0.0:
+    if stability_margin(A - B @ K) <= 0.0:
         raise RuntimeError("Riccati gain failed to stabilize A - B K")
     return P, K
 
@@ -285,8 +287,8 @@ def build_observer_controller(ss: LinearStateSpace, freqs, q0: float, r0: float,
     G1[nz:, nz:] = ss.A + ss.B @ K2
     G2 = np.vstack([_observer_G2(im), np.zeros((n, 2))])
     K = np.hstack([K1, K2])
-    return ControllerRealization(G1=G1, G2=G2, K=K, kappa=np.zeros((2, 2)), servo=servo,
-                                 care_residual=care_residual(im.G1, B1, Q, R, P))
+    return ControllerRealization(G1=G1, G2=G2, K=K, kappa=np.zeros((2, 2)), design_plant=ss,
+                                 servo=servo, care_residual=care_residual(im.G1, B1, Q, R, P))
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,6 +305,16 @@ class ClosedLoopSystem:
     @property
     def n(self) -> int:
         return self.Ae.shape[0]
+
+    @cached_property
+    def margin(self) -> float:
+        """Stability margin of Ae, computed on first use; around its design plant an
+        observer loop's is min(plant, servo) by separation (see ControllerRealization),
+        sparing an eig of Ae that splits the doubled plant spectrum by about sqrt(eps)."""
+        ctrl = self.controller
+        if ctrl.servo is not None and ctrl.design_plant is self.plant:
+            return min(self.plant.margin, stability_margin(ctrl.servo))
+        return stability_margin(self.Ae)
 
 
 def assemble_closed_loop(ss: LinearStateSpace, ctrl: ControllerRealization) -> ClosedLoopSystem:
@@ -339,9 +351,8 @@ def regulation_zero_check(cl: ClosedLoopSystem, freqs) -> dict:
     frequency shows up as an order-one residual.  The closed loop must be
     stable for the values to mean anything, so instability is rejected.
     """
-    margin = spectral_abscissa(cl.Ae)
-    if margin >= 0.0:
-        raise RuntimeError(f"closed loop is not stable (spectral abscissa {margin:.3e})")
+    if cl.margin <= 0.0:
+        raise RuntimeError(f"closed loop is not stable (stability margin {cl.margin:.3e})")
     out = {}
     for w in signed_frequencies(freqs):
         G = cl.Ce @ shifted_solve(cl.Ae, w, cl.Be) + cl.De

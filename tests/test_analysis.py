@@ -9,16 +9,16 @@ from flexsat.config import RunConfig
 
 
 def test_spectral_abscissa_closed_forms():
-    assert analysis.spectral_abscissa(np.diag([-1.0, -2.0])) == pytest.approx(-1.0, abs=1e-14)
-    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    assert analysis.spectral_abscissa(rot) == pytest.approx(0.0, abs=1e-14)
     assert analysis.stability_margin(np.diag([-1.0, -2.0])) == pytest.approx(1.0, abs=1e-14)
+    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    assert analysis.stability_margin(rot) == pytest.approx(0.0, abs=1e-14)
+    assert analysis.stability_margin(np.diag([1.0, -2.0])) == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_assembled_plant_is_stable(params):
     for N in (8, 10, 12):
         ss = fx.assemble(params, N)
-        assert analysis.spectral_abscissa(ss.A) < 0.0
+        assert ss.margin > 0.0
 
 
 def test_margin_decreases_with_damping():
@@ -188,20 +188,20 @@ def test_observer_sweep_margin_binds_on_plant(default_config):
 
 def test_observer_sweep_takes_no_closed_loop_eig(default_config, monkeypatch):
     sizes = []
-    abscissa = fx.discretize.spectral_abscissa
+    margin = fx.discretize.stability_margin
 
     def counting(A):
         sizes.append(A.shape[0])
-        return abscissa(A)
+        return margin(A)
 
     for module in (fx.discretize, analysis, fx.synthesis):
-        monkeypatch.setattr(module, "spectral_abscissa", counting)
+        monkeypatch.setattr(module, "stability_margin", counting)
     cfg = default_config.with_overrides(controller_kind="observer")
     n = analysis.plant_from_config(cfg).n
     res = analysis.sweep(cfg, "r0", [0.05, 0.1, 0.2])
     assert res.stable.all()
     assert max(sizes) == n
-    assert sizes.count(n) == 2  # the Sylvester solve's stability check and the plant margin
+    assert sizes.count(n) == 1  # the plant margin, cached on ss for the Sylvester check and every point
 
 
 @pytest.mark.parametrize("kind, parameter, grid", [

@@ -42,9 +42,8 @@ def test_propagate_arguments_match_tracer():
     assert load_tracer()._n_steps((A, x0, 0.5, 0.01, C), {}, result) == {"n": 3, "steps": 50}
 
 
-def test_observer_sweep_points_traced_as_controller_builds():
-    # every observer sweep point builds its controller through
-    # build_observer_controller, from the one Sylvester solution of the sweep
+def traced_observer_sweep():
+    """Span summary of a 3-point observer r0 sweep under the bench tracer."""
     tracer = load_tracer()
     t = tracer.Tracer()
     t.install()
@@ -53,9 +52,21 @@ def test_observer_sweep_points_traced_as_controller_builds():
         analysis.sweep(cfg, "r0", [0.05, 0.1, 0.2])
     finally:
         t.uninstall()
-    summary = tracer.summarize(tracer.span_dicts(t.spans))
+    return tracer.summarize(tracer.span_dicts(t.spans))
+
+
+def test_observer_sweep_points_traced_as_controller_builds():
+    # every observer sweep point builds its controller through
+    # build_observer_controller, from the one Sylvester solution of the sweep
+    summary = traced_observer_sweep()
     assert summary["synthesis.build_observer_controller"]["calls"] == 3
     assert summary["synthesis.solve_sylvester_H"]["calls"] == 1
+
+
+def test_observer_sweep_margins_traced():
+    # the cached margins compute through the traced stability_margin: one for
+    # the plant, and per point the Riccati gain check and the servo margin
+    assert traced_observer_sweep()["analysis.stability_margin"]["calls"] == 7
 
 
 def test_validate_synthesis_traced_as_one_controller_build(capsys):

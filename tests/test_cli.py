@@ -90,16 +90,31 @@ def test_undamped_model_failures_exit_1(tmp_path):
 
 def test_linear_algebra_failure_exits_1(tmp_path, monkeypatch, capsys):
     # np.linalg.LinAlgError subclasses ValueError but is a model failure, not a config error
-    from flexsat import analysis
+    from flexsat import discretize
 
     def diverge(A):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(analysis, "spectral_abscissa", diverge)
+    monkeypatch.setattr(discretize, "stability_margin", diverge)
     path, _ = write_config(tmp_path, n_basis=6)
     rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"), "analyze"])
     assert rc == 1
     assert "runtime failure: Eigenvalues did not converge" in capsys.readouterr().err
+
+
+def test_refused_config_prints_nothing(tmp_path, capsys):
+    # refused on load: a negative seed used to fail validate after five check
+    # rows, and a t_final that is no whole multiple of dt ended the run early
+    path = tmp_path / "bad.ini"
+    for text, command, message in (("[output]\nseed = -1\n", "validate", "seed"),
+                                   ("[simulation]\nt_final = 1.0\ndt = 0.4\n", "simulate", "end at 0.8"),
+                                   ("[simulation]\nt_final = 0.35\ndt = 0.1\n", "simulate", "whole multiple")):
+        path.write_text(text)
+        rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"), command])
+        captured = capsys.readouterr()
+        assert rc == 2, text
+        assert captured.out == "" and message in captured.err, text
+    assert not (tmp_path / "x").exists()
 
 
 def test_missing_config_file_exits_2(tmp_path):
@@ -136,17 +151,21 @@ def test_observer_margin_from_separation_structure(tmp_path, monkeypatch):
     # min(plant, servo): on the reference it agrees with the full eig of Ae,
     # and at gamma = 0.1, where the plant binds, it is the plant margin itself;
     # on a perturbed plant the structure is lost and the margin is the eig of Ae
+    import functools
+
     import flexsat as fx
     from flexsat import analysis
 
     margins = []
-    closed_loop_margin = analysis.closed_loop_margin
+    compute = fx.ClosedLoopSystem.margin.func
 
-    def recording(*args):
-        margins.append(closed_loop_margin(*args))
+    def recording(cl):
+        margins.append(compute(cl))
         return margins[-1]
 
-    monkeypatch.setattr(analysis, "closed_loop_margin", recording)
+    recorded = functools.cached_property(recording)
+    recorded.__set_name__(fx.ClosedLoopSystem, "margin")
+    monkeypatch.setattr(fx.ClosedLoopSystem, "margin", recorded)
     for gamma in (5.0, 0.1):
         path, cfg = write_config(tmp_path, controller_kind="observer", gamma=gamma)
         out = tmp_path / f"gamma{gamma}"
@@ -170,6 +189,34 @@ def test_observer_margin_from_separation_structure(tmp_path, monkeypatch):
     cl = fx.assemble_closed_loop(ss_run, analysis.controller_from_config(cfg, ss))
     assert margins[-1] == analysis.stability_margin(cl.Ae)
     assert np.loadtxt(out / "summary.csv", delimiter=",", skiprows=1)[0] == margins[-1]
+
+
+def test_each_margin_takes_one_eig(tmp_path, monkeypatch, capsys):
+    # a plant's and a loop's margins are computed once each, and an observer
+    # loop around its design plant takes none of its own: observer validate and
+    # simulate take the plant's, the Riccati check's and the servo's, and
+    # passive simulate only the loop's
+    from flexsat import analysis, discretize, synthesis
+
+    sizes = []
+    margin = discretize.stability_margin
+
+    def counting(A):
+        sizes.append(A.shape[0])
+        return margin(A)
+
+    for module in (discretize, synthesis, analysis):
+        monkeypatch.setattr(module, "stability_margin", counting)
+    observer, cfg = write_config(tmp_path, controller_kind="observer")
+    n = analysis.plant_from_config(cfg).n
+    for path, command, eigs in ((observer, "validate", 3), (REFERENCE_INI, "simulate", 1),
+                                (observer, "simulate", 3)):
+        sizes.clear()
+        assert cli.main(["--config", str(path), "--out", str(tmp_path / "x"), command]) == 0
+        assert len(sizes) == eigs, (path, command, sizes)
+        if path == observer:
+            assert max(sizes) == n
+    capsys.readouterr()
 
 
 def test_manifest_roundtrip(tmp_path):
@@ -202,7 +249,8 @@ def test_simulate_bad_perturbation_exits_2(tmp_path):
     rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"),
                    "simulate", "--perturb", "gammafast"])
     assert rc == 2
-    for factors in ("gamma=nan", "gamma=inf", "m=inf", "rho_a=2", "EI=2", "scaled=2"):
+    for factors in ("gamma=nan", "gamma=inf", "m=inf", "rho_a=2", "EI=2", "scaled=2",
+                    "gamma=0.5,gamma=2", "m=2, m =2"):
         rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"),
                        "simulate", "--perturb", factors])
         assert rc == 2, factors

@@ -94,6 +94,11 @@ def test_validation_errors():
         RunConfig(frequencies=())
     with pytest.raises(ConfigError):
         RunConfig(t_final=0.001, dt=0.01)
+    for t_final, dt in ((1.0, 0.4), (0.35, 0.1)):  # the grid would stop short of t_final
+        with pytest.raises(ConfigError, match="whole multiple"):
+            RunConfig(t_final=t_final, dt=dt)
+    with pytest.raises(ConfigError, match="seed"):
+        RunConfig(seed=-1)
     with pytest.raises(ConfigError):
         RunConfig(c1=-2.0)
     with pytest.raises(ConfigError):

@@ -149,6 +149,12 @@ def test_propagate_validates_grid():
         fx.propagate_autonomous(A, np.ones(2), 1.0, 0.0, np.eye(2))
     with pytest.raises(ValueError):
         fx.propagate_autonomous(A, np.ones(2), 0.1, 0.5, np.eye(2))
+    for T, dt in ((1.0, 0.4), (0.35, 0.1)):
+        with pytest.raises(ValueError, match="whole multiple"):
+            fx.propagate_autonomous(A, np.ones(2), T, dt, np.eye(2))
+    # T / dt is 2.9999999999999996 here, a whole multiple within rounding
+    t, _ = fx.propagate_autonomous(A, np.ones(2), 0.3, 0.1, np.eye(2))
+    assert t.size == 4 and t[-1] == pytest.approx(0.3, rel=1e-15)
 
 
 def test_propagate_detects_blowup():

@@ -153,7 +153,7 @@ def test_care_random_system():
     res = A.T @ P + P @ A - P @ B @ np.linalg.solve(R, B.T @ P) + Q
     assert np.linalg.norm(res) < 1e-8 * np.linalg.norm(P)
     assert np.min(np.linalg.eigvalsh(P)) > -1e-10
-    assert fx.spectral_abscissa(A - B @ K) < 0.0
+    assert fx.stability_margin(A - B @ K) > 0.0
 
 
 def test_care_residual_at_reference_internal_model(ss10, observer_ctrl, passive_ctrl):
@@ -186,10 +186,10 @@ def test_observer_internal_model_stabilized(ss10):
     im = fx.internal_model(FREQS)
     B1 = fx.solve_sylvester_H(ss10, FREQS) @ ss10.B
     _, Klqr = fx.care_solve(im.G1, B1, 10.0 * np.eye(im.dim), 0.1 * np.eye(2))
-    assert fx.spectral_abscissa(im.G1 + B1 @ (-Klqr)) < 0.0
+    assert fx.stability_margin(im.G1 + B1 @ (-Klqr)) > 0.0
     # the Riccati gain with the conventional sign does not stabilize the
     # skew-symmetric model; the sign flip is essential
-    assert fx.spectral_abscissa(im.G1 + B1 @ Klqr) > 0.0
+    assert fx.stability_margin(im.G1 + B1 @ Klqr) < 0.0
 
 
 def test_real_internal_model_sylvester_identity(ss10, observer_ctrl):
@@ -223,6 +223,26 @@ def test_observer_closed_loop_margin(observer_loop, passive_loop):
     m_pas = fx.stability_margin(passive_loop.Ae)
     assert m_obs > 0.0 and m_pas > 0.0
     assert m_obs > m_pas
+
+
+def test_loop_margin_follows_the_design_plant():
+    # around its design plant an observer loop's margin is min(plant, servo),
+    # which the full eig of Ae matches to about sqrt(eps); the same controller
+    # around a finer plant of the same physics has no separation structure
+    # (Balas 1978), so there the margin is the eig of Ae itself
+    rng = np.random.default_rng(14)
+    for _ in range(12):
+        factors = np.exp(rng.uniform(np.log(0.5), np.log(2.0), size=6))
+        p = fx.PhysicalParams(*factors[:4], float(np.exp(rng.uniform(np.log(0.1), np.log(10.0)))),
+                              *factors[4:])
+        N = int(rng.choice([4, 8, 12]))
+        ss = fx.assemble(p, N)
+        ctrl = fx.build_observer_controller(ss, FREQS, 10.0, 0.1)
+        cl = fx.assemble_closed_loop(ss, ctrl)
+        assert cl.margin == min(ss.margin, fx.stability_margin(ctrl.servo))
+        assert cl.margin == pytest.approx(fx.stability_margin(cl.Ae), rel=1e-5)
+        fine = fx.assemble_closed_loop(fx.assemble(p, 2 * N), ctrl)
+        assert fine.margin == fx.stability_margin(fine.Ae)
 
 
 # --- closed-loop assembly -------------------------------------------------------
