@@ -51,8 +51,8 @@ def _parse_grid(text: str) -> np.ndarray:
     if len(parts) == 4:
         if parts[3] != "log":
             raise ConfigError(f"grid scale must be 'log', got {parts[3]!r}")
-        if lo <= 0:
-            raise ConfigError("log grids need lo > 0")
+        if lo <= 0 or hi <= 0:
+            raise ConfigError(f"log grids need lo > 0 and hi > 0, got {text!r}")
         return np.geomspace(lo, hi, n)
     return np.linspace(lo, hi, n)
 
@@ -78,6 +78,7 @@ def _parse_perturb(text: str) -> dict:
 
 
 def _ensure_outdir(path: str) -> str:
+    """Create the output directory at the first write, after every input check."""
     os.makedirs(path, exist_ok=True)
     return path
 
@@ -180,7 +181,7 @@ def cmd_analyze(cfg: RunConfig, out_dir: str) -> int:
     Ns = (6, 8, 12, 16)
     omegas = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 6.0)
     rows = analysis.transfer_error_report(p, Ns, omegas)
-    path = os.path.join(out_dir, "transfer_errors.csv")
+    path = os.path.join(_ensure_outdir(out_dir), "transfer_errors.csv")
     write_csv(path, ("N", "max_rel_error"), rows)
     print(f"wrote {path}")
 
@@ -195,10 +196,11 @@ def cmd_analyze(cfg: RunConfig, out_dir: str) -> int:
 
 def cmd_simulate(cfg: RunConfig, out_dir: str, perturb: dict | None) -> int:
     """Closed-loop run with the configured controller; optional plant perturbation."""
+    perturbed = cfg.physical().scaled(**perturb) if perturb else None  # refused before any work
     ss = analysis.plant_from_config(cfg)
     ctrl = analysis.controller_from_config(cfg, ss)
-    if perturb:  # the controller keeps its design plant, so the loop's margin is a full eig
-        ss = assemble(cfg.physical().scaled(**perturb), cfg.n_basis, cfg.bd_profiles())
+    if perturbed is not None:  # the controller keeps its design plant, so the loop's margin is a full eig
+        ss = assemble(perturbed, cfg.n_basis, cfg.bd_profiles())
         print("plant perturbed:", ", ".join(f"{k} x {v}" for k, v in perturb.items()))
     cl = assemble_closed_loop(ss, ctrl)
     margin = cl.margin
@@ -209,7 +211,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, perturb: dict | None) -> int:
     trace = analysis.simulate_from_config(cfg, cl)
     metrics = error_metrics(trace)
 
-    trace_path = os.path.join(out_dir, "trace.csv")
+    trace_path = os.path.join(_ensure_outdir(out_dir), "trace.csv")
     trace.to_csv(trace_path)
     summary_path = os.path.join(out_dir, "summary.csv")
     write_csv(summary_path, ("margin", "l2sq", "decay_rate"),
@@ -228,7 +230,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: str, parameter: str, grid_text: str | Non
     """Margin and tracking-error sweep over one controller parameter."""
     grid = _parse_grid(grid_text) if grid_text else default_sweep_grid(cfg, parameter)
     result = analysis.sweep(cfg, parameter, grid)
-    path = os.path.join(out_dir, f"sweep_{parameter}.csv")
+    path = os.path.join(_ensure_outdir(out_dir), f"sweep_{parameter}.csv")
     result.to_csv(path)
     n_unstable = int(np.sum(~result.stable))
     print(f"wrote {path} ({grid.size} points, {n_unstable} unstable/failed)")
@@ -262,12 +264,12 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return cmd_validate(cfg)
         if args.command == "analyze":
-            return cmd_analyze(cfg, _ensure_outdir(out_dir))
+            return cmd_analyze(cfg, out_dir)
         if args.command == "simulate":
             perturb = _parse_perturb(args.perturb) if args.perturb else None
-            return cmd_simulate(cfg, _ensure_outdir(out_dir), perturb)
+            return cmd_simulate(cfg, out_dir, perturb)
         if args.command == "sweep":
-            return cmd_sweep(cfg, _ensure_outdir(out_dir), args.param, args.grid)
+            return cmd_sweep(cfg, out_dir, args.param, args.grid)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -5,8 +5,9 @@ by the hub plus an elastic deviation clamped at the attachment point,
 
     w(xi, t) = w_c(t) + xi * theta_c(t) + eta(xi, t),     eta(0) = eta'(0) = 0,
 
-and eta is expanded in twice-antidifferentiated Legendre polynomials.  Testing
-the weak form with the same shapes gives
+and eta is expanded in twice-antidifferentiated Legendre polynomials, held per
+panel as one table of Legendre coefficients so that one Clenshaw sum evaluates
+all N functions (BeamBasis).  Testing the weak form with the same shapes gives
 
     M qdd + D qd + K q = B_f u + B_w w_d
 
@@ -28,12 +29,14 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
-from numpy.polynomial import Legendre
 from numpy.polynomial import legendre as npleg
+from numpy.polynomial import polyutils as pu
 
 from .params import PhysicalParams
 
 _QUAD_EXTRA = 8  # Gauss nodes per panel: 2N + 8, exact for every assembly integrand
+_DOMAINS = {"left": (-1.0, 0.0), "right": (0.0, 1.0)}  # panel coordinate xi, hub at 0
+_WINDOW = (-1.0, 1.0)  # Legendre window the panel domain is mapped onto
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,12 +46,15 @@ class BeamBasis:
     phi_j is the Legendre polynomial of degree j on the panel domain,
     antidifferentiated twice from xi = 0, so phi_j(0) = phi_j'(0) = 0 exactly
     and phi_j'' is again a Legendre polynomial (diagonal stiffness Gram).
+    The basis is one (n + 2, n) coefficient table: column j holds the Legendre
+    coefficients of phi_j in the window variable t = off + scl * xi on [-1, 1],
+    zero-padded above degree j + 2.
     """
 
     side: str
     n: int
     domain: tuple[float, float]
-    _series: tuple
+    coef: np.ndarray
 
     def eval(self, xi, order: int = 0) -> np.ndarray:
         """Values (order 0) or spatial derivatives of all phi_j at points xi.
@@ -56,28 +62,21 @@ class BeamBasis:
         Returns an (n, len(xi)) array.
         """
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        out = np.empty((self.n, xi.size))
-        for j, phi in enumerate(self._series):
-            out[j] = phi(xi) if order == 0 else phi.deriv(order)(xi)
-        return out
+        off, scl = pu.mapparms(self.domain, _WINDOW)
+        coef = self.coef if order == 0 else npleg.legder(self.coef, order, scl=scl, axis=0)
+        return npleg.legval(off + scl * xi, coef)
 
 
 def build_basis(n: int, side: str) -> BeamBasis:
     """Construct the clamped Legendre basis for the left or right panel."""
     if n < 1:
         raise ValueError(f"need at least one basis function, got {n}")
-    if side == "left":
-        domain = (-1.0, 0.0)
-    elif side == "right":
-        domain = (0.0, 1.0)
-    else:
+    if side not in _DOMAINS:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    series = []
-    for j in range(n):
-        coef = np.zeros(j + 1)
-        coef[j] = 1.0
-        series.append(Legendre(coef, domain=list(domain)).integ(2, lbnd=0.0))
-    return BeamBasis(side=side, n=n, domain=domain, _series=tuple(series))
+    # integrate twice from xi = 0, which is t = off in the window variable
+    off, scl = pu.mapparms(_DOMAINS[side], _WINDOW)
+    coef = npleg.legint(np.eye(n), 2, lbnd=off, scl=1.0 / scl, axis=0)
+    return BeamBasis(side=side, n=n, domain=_DOMAINS[side], coef=coef)
 
 
 def _panel_quadrature(domain, n_points):
@@ -255,32 +254,28 @@ def project_initial_state(profiles: InitialProfiles, ss: LinearStateSpace) -> np
     p = ss.params
     nq = 2 * N + _QUAD_EXTRA
     x = np.zeros(ss.n)
-
-    for offset, basis in ((0, ss.basis_left), (N, ss.basis_right)):
-        mom = profiles.left_moment if basis.side == "left" else profiles.right_moment
-        if mom is None:
-            continue
-        xi, w = _panel_quadrature(basis.domain, nq)
-        curv = basis.eval(xi, order=2)
-        mvals = _as_profile(mom)(xi)
-        # phi_j'' are orthogonal, so the stiffness-weighted projection is
-        # coefficientwise: a_j = <m, phi_j''> / ||phi_j''||^2
-        num = p.EI * curv @ (w * mvals)
-        a = num / ss.stiffness[offset : offset + N]
-        x[offset : offset + N] = np.sqrt(ss.stiffness[offset : offset + N]) * a
-
     b = np.zeros(2 * N + 2)
     any_vel = False
-    for offset, basis in ((0, ss.basis_left), (N, ss.basis_right)):
-        vel = profiles.left_velocity if basis.side == "left" else profiles.right_velocity
-        if vel is None:
+    panels = ((0, ss.basis_left, profiles.left_moment, profiles.left_velocity),
+              (N, ss.basis_right, profiles.right_moment, profiles.right_velocity))
+    for offset, basis, mom, vel in panels:
+        if mom is None and vel is None:
             continue
-        any_vel = True
         xi, w = _panel_quadrature(basis.domain, nq)
-        vvals = _as_profile(vel)(xi)
-        b[0] += p.rho_a * np.sum(w * vvals)
-        b[1] += p.rho_a * np.sum(w * xi * vvals)
-        b[2 + offset : 2 + offset + N] = p.rho_a * basis.eval(xi) @ (w * vvals)
+        if mom is not None:
+            curv = basis.eval(xi, order=2)
+            mvals = _as_profile(mom)(xi)
+            # phi_j'' are orthogonal, so the stiffness-weighted projection is
+            # coefficientwise: a_j = <m, phi_j''> / ||phi_j''||^2
+            num = p.EI * curv @ (w * mvals)
+            a = num / ss.stiffness[offset : offset + N]
+            x[offset : offset + N] = np.sqrt(ss.stiffness[offset : offset + N]) * a
+        if vel is not None:
+            any_vel = True
+            vvals = _as_profile(vel)(xi)
+            b[0] += p.rho_a * np.sum(w * vvals)
+            b[1] += p.rho_a * np.sum(w * xi * vvals)
+            b[2 + offset : 2 + offset + N] = p.rho_a * basis.eval(xi) @ (w * vvals)
     if profiles.hub_velocity != (0.0, 0.0):
         any_vel = True
         b[0] += p.m * profiles.hub_velocity[0]

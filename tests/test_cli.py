@@ -79,6 +79,7 @@ def test_validate_bad_config_exits_2(tmp_path):
         path.write_text(text)
         rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"), command])
         assert rc == 2, text
+    assert not (tmp_path / "x").exists()
 
 
 def test_undamped_model_failures_exit_1(tmp_path):
@@ -254,6 +255,7 @@ def test_simulate_bad_perturbation_exits_2(tmp_path):
         rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"),
                        "simulate", "--perturb", factors])
         assert rc == 2, factors
+    assert not (tmp_path / "x").exists()
 
 
 def test_simulate_deterministic(tmp_path):
@@ -297,10 +299,11 @@ def test_sweep_empty_grid_exits_2(tmp_path):
     rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"),
                    "sweep", "--param", "c1", "--grid", "1:2:0"])
     assert rc == 2
-    for grid in ("nan:1:3", "inf:1:3", "1:inf:3:log", "0:1:3"):
+    for grid in ("nan:1:3", "inf:1:3", "1:inf:3:log", "0:1:3", "1:-1:5:log", "1:0:5:log"):
         rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"),
                        "sweep", "--param", "c1", "--grid", grid])
         assert rc == 2, grid
+    assert not (tmp_path / "x").exists()
 
 
 def test_sweep_inapplicable_parameter_exits_2(tmp_path):
@@ -315,6 +318,7 @@ def test_sweep_inapplicable_parameter_exits_2(tmp_path):
     rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"),
                    "sweep", "--param", "c1", "--grid", "1:2:2"])
     assert rc == 2
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("kind", sorted(SWEEP_RANGES))
@@ -327,6 +331,7 @@ def test_sweep_gain_of_other_kind_exits_2(tmp_path, capsys, kind):
                            "sweep", "--param", gain, *grid])
             assert rc == 2, (gain, grid)
             assert f"{kind} controller" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_sweep_help_lists_gains_per_kind(capsys):

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Legendre
 
 import flexsat as fx
+from flexsat import discretize
 from flexsat.discretize import build_basis, shifted_solve
 
 
@@ -33,6 +35,54 @@ def test_basis_stiffness_gram_diagonal():
     off = gram - np.diag(np.diag(gram))
     assert np.max(np.abs(off)) < 1e-14
     assert np.all(np.diag(gram) > 0.0)
+
+
+class _SeriesBasis:
+    """The per-function reference the coefficient table must reproduce bit for
+    bit: one Legendre series per phi_j, differentiated on every evaluation."""
+
+    def __init__(self, n, side):
+        self.n, self.side = n, side
+        self.domain = (-1.0, 0.0) if side == "left" else (0.0, 1.0)
+        self.series = [Legendre(np.eye(n)[j, : j + 1], domain=list(self.domain)).integ(2, lbnd=0.0)
+                       for j in range(n)]
+
+    def eval(self, xi, order=0):
+        xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        return np.array([phi(xi) if order == 0 else phi.deriv(order)(xi) for phi in self.series])
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("n", [1, 2, 10, 40, 80])
+def test_basis_table_matches_series_bit_for_bit(n, side):
+    ref = _SeriesBasis(n, side)
+    lo, hi = ref.domain
+    xg, _ = np.polynomial.legendre.leggauss(2 * n + 8)
+    xi = np.concatenate([np.linspace(lo, hi, 41), 0.5 * (hi - lo) * xg + 0.5 * (hi + lo)])
+    basis = build_basis(n, side)
+    for order in (0, 1, 2):
+        assert np.array_equal(basis.eval(xi, order), ref.eval(xi, order)), order
+
+
+def test_assembly_with_series_basis_is_bit_identical(params, monkeypatch):
+    bd = ((1.0, -0.5, 2.0), lambda x: np.cos(3.0 * x))
+    profiles = fx.InitialProfiles(left_velocity=lambda x: np.sin(2.0 * x), right_velocity=(0.3, 0.0, -1.0),
+                                  left_moment=(1.0, 2.0, 0.0, -4.0), right_moment=lambda x: np.exp(-x),
+                                  hub_velocity=(0.7, -0.2))
+    fields = ("A", "B", "Bd", "C", "H", "damping", "stiffness", "chol_inv")
+
+    def run():
+        out = []
+        for N in (1, 4, 10, 40):
+            ss = fx.assemble(params, N, bd)
+            out += [getattr(ss, name) for name in fields] + [fx.project_initial_state(profiles, ss)]
+        return out
+
+    table = run()
+    monkeypatch.setattr(discretize, "build_basis", _SeriesBasis)
+    series = run()
+    assert isinstance(fx.assemble(params, 1).basis_left, _SeriesBasis)
+    assert all(np.array_equal(a, b) for a, b in zip(table, series, strict=True))
 
 
 def test_basis_rejects_bad_input():
