@@ -1,8 +1,10 @@
 """Command-line entry point: validate, analyze, simulate, and sweep workflows.
 
-Exit status: 0 on success, 1 on runtime or model failure (including failed
-validation checks and unstable closed loops), 2 on configuration or usage
-errors.
+validate prints the records of analysis.validation_checks, each row as soon
+as it is computed.  Exit status: 0 on success, 1 on runtime or model failure
+(including failed validation checks and unstable closed loops), 2 on
+configuration or usage errors, including an output directory that cannot be
+created or written.
 """
 
 import argparse
@@ -11,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, analytic
+from . import analysis
 from .config import (
     SWEEP_RANGES,
     ConfigError,
@@ -22,13 +24,7 @@ from .config import (
 )
 from .discretize import assemble
 from .simulate import error_metrics, write_csv
-from .synthesis import (
-    assemble_closed_loop,
-    build_observer_controller,
-    regulation_zero_check,
-    solve_sylvester_H,
-    sylvester_residual,
-)
+from .synthesis import assemble_closed_loop
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -83,96 +79,13 @@ def _ensure_outdir(path: str) -> str:
     return path
 
 
-class _Report:
-    """Collects named checks with pass/warn/skip/fail status."""
-
-    def __init__(self):
-        self.rows = []
-
-    def add(self, name, status, detail=""):
-        self.rows.append((name, status, detail))
-        print(f"[{status:>4s}] {name:<28s} {detail}")
-
-    @property
-    def failed(self) -> bool:
-        return any(status == "fail" for _, status, _ in self.rows)
-
-
 def cmd_validate(cfg: RunConfig) -> int:
-    """Run the invariant suite against the configured model."""
-    p = cfg.physical()
-    ss = analysis.plant_from_config(cfg)
-    rep = _Report()
-
-    coll = float(np.abs(ss.H @ ss.B - ss.C.T).max())
-    rep.add("collocation_HB_eq_CT", "pass" if coll <= 1e-12 else "fail", f"max|HB - C^T| = {coll:.3e}")
-
-    sym = ss.A.T @ ss.H + ss.H @ ss.A
-    target = np.zeros_like(sym)
-    nb = 2 * ss.n_basis
-    target[nb:, nb:] = -2.0 * ss.damping
-    struct = float(np.abs(sym - target).max())
-    rep.add("dissipation_structure", "pass" if struct <= 1e-12 else "fail",
-            f"max|A^T H + H A + 2 blockdiag(0, D)| = {struct:.3e}")
-    top = float(np.max(np.linalg.eigvalsh(0.5 * (sym + sym.T))))
-    if p.gamma == 0.0:
-        rep.add("dissipativity", "pass" if top <= 1e-10 else "fail", f"top eigenvalue = {top:.3e}")
-    else:
-        # the elastic block of A^T H + H A is exactly zero; strict dissipation
-        # lives on the velocity block
-        vel_top = float(np.max(np.linalg.eigvalsh(0.5 * (sym + sym.T)[nb:, nb:])))
-        ok = top <= 1e-10 and vel_top < 0.0
-        rep.add("dissipativity", "pass" if ok else "fail",
-                f"top eigenvalue = {top:.3e}, velocity block = {vel_top:.3e}")
-
-    damped = ss.margin > 1e-8
-    if damped:
-        rep.add("plant_margin", "pass", f"margin = {ss.margin:.6f}")
-    else:
-        rep.add("plant_margin", "warn", f"margin = {ss.margin:.3e} (undamped configuration?)")
-
-    omegas = [0.5, 1.0, 2.0, 5.0] + ([0.0] if damped else [])
-    worst = analysis.oracle_error(ss, omegas)
-    rep.add("transfer_oracle", "pass" if worst < 1e-3 else "fail",
-            f"max rel error at N={cfg.n_basis} = {worst:.3e}")
-
-    if damped:
-        rng = np.random.default_rng(cfg.seed)
-        res = 0.0
-        Bc = np.diag([1.0 / p.m, 1.0 / p.I_m])
-        for w in rng.uniform(-200.0, 200.0, size=100):
-            S = analytic.s_matrix(w, p)
-            ident = S @ (1j * w * np.eye(2) + Bc @ analytic.transfer_beam(w, p))
-            res = max(res, float(np.abs(ident - np.eye(2)).max()))
-        rep.add("s_matrix_identity", "pass" if res < 1e-12 else "fail", f"max residual = {res:.3e}")
-
-        # one observer build: its solvers raise on a residual over their
-        # bound, so these rows report the residuals they accepted; on an
-        # observer config it is also the controller of the closed loop
-        H = solve_sylvester_H(ss, cfg.frequencies)
-        observer = build_observer_controller(ss, cfg.frequencies, cfg.q0, cfg.r0, H)
-        rep.add("sylvester_residual", "pass",
-                f"relative residual = {sylvester_residual(ss, cfg.frequencies, H):.3e}")
-        rep.add("care_residual", "pass", f"relative residual = {observer.care_residual:.3e}")
-
-        if cfg.controller_kind == "observer":
-            ctrl = observer
-        else:
-            ctrl = analysis.controller_from_config(cfg, ss)
-        cl = assemble_closed_loop(ss, ctrl)
-        rep.add("closed_loop_margin", "pass" if cl.margin > 0.0 else "fail",
-                f"{cfg.controller_kind}: margin = {cl.margin:.6f}")
-        if cl.margin > 0.0:
-            zeros = regulation_zero_check(cl, cfg.frequencies)
-            zmax = max(zeros.values())
-            rep.add("regulation_zeros", "pass" if zmax < 1e-8 else "fail",
-                    f"max residual over tracked frequencies = {zmax:.3e}")
-    else:
-        rep.add("s_matrix_identity", "skip", "undamped: zero-frequency theory degenerates")
-        for name in ("sylvester_residual", "care_residual", "closed_loop_margin", "regulation_zeros"):
-            rep.add(name, "skip", "requires an exponentially stable plant")
-
-    return EXIT_RUNTIME if rep.failed else EXIT_OK
+    """Print each invariant check of analysis.validation_checks as it runs; 1 if any failed."""
+    failed = False
+    for check in analysis.validation_checks(cfg):
+        print(f"[{check.status:>4s}] {check.name:<28s} {check.detail}")
+        failed |= check.status == "fail"
+    return EXIT_RUNTIME if failed else EXIT_OK
 
 
 def cmd_analyze(cfg: RunConfig, out_dir: str) -> int:
@@ -228,7 +141,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, perturb: dict | None) -> int:
 
 def cmd_sweep(cfg: RunConfig, out_dir: str, parameter: str, grid_text: str | None) -> int:
     """Margin and tracking-error sweep over one controller parameter."""
-    grid = _parse_grid(grid_text) if grid_text else default_sweep_grid(cfg, parameter)
+    grid = _parse_grid(grid_text) if grid_text is not None else default_sweep_grid(cfg, parameter)
     result = analysis.sweep(cfg, parameter, grid)
     path = os.path.join(_ensure_outdir(out_dir), f"sweep_{parameter}.csv")
     result.to_csv(path)
@@ -260,13 +173,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
-        out_dir = args.out or cfg.out_dir
+        out_dir = args.out if args.out is not None else cfg.out_dir
         if args.command == "validate":
             return cmd_validate(cfg)
         if args.command == "analyze":
             return cmd_analyze(cfg, out_dir)
         if args.command == "simulate":
-            perturb = _parse_perturb(args.perturb) if args.perturb else None
+            perturb = _parse_perturb(args.perturb) if args.perturb is not None else None
             return cmd_simulate(cfg, out_dir, perturb)
         if args.command == "sweep":
             return cmd_sweep(cfg, out_dir, args.param, args.grid)
@@ -277,7 +190,7 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:  # a ValueError subclass, but a model failure
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an output path that cannot be created or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RuntimeError as exc:

@@ -303,14 +303,16 @@ def error_metrics(trace: SimulationTrace) -> ErrorMetrics:
     """Trapezoidal integral of ||e||^2 and log-linear decay fit.
 
     The decay rate is the least-squares slope of log||e(t)|| over the
-    trailing half of the run, with ||e|| floored at 1e-14; if every sample in
-    the window sits at the floor the rate is reported as 0 with the flag set.
+    trailing half of the run, and at least its last two samples, with ||e||
+    floored at 1e-14; if every sample in the window sits at the floor the rate
+    is reported as 0 with the flag set.
     """
     if trace.t.size == 0:
         raise ValueError("empty trace")
     l2sq = integrated_square_error(trace.t, trace.e)
     nrm = np.linalg.norm(trace.e, axis=1)
     half = trace.t >= 0.5 * trace.t[-1]
+    half[-2:] = True  # a one-step run would fit a line through one sample
     tail_t = trace.t[half]
     tail = nrm[half]
     floored_mask = tail < LOG_FLOOR

@@ -1,5 +1,8 @@
 """Spectral diagnostics, resolvent scans, convergence report, sweeps."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,42 @@ def test_spectral_abscissa_closed_forms():
     rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
     assert analysis.stability_margin(rot) == pytest.approx(0.0, abs=1e-14)
     assert analysis.stability_margin(np.diag([1.0, -2.0])) == pytest.approx(-1.0, abs=1e-14)
+
+
+CHECK_NAMES = ("collocation_HB_eq_CT", "dissipation_structure", "dissipativity", "plant_margin",
+               "transfer_oracle", "s_matrix_identity", "sylvester_residual", "care_residual",
+               "closed_loop_margin", "regulation_zeros")
+NUMBER = re.compile(r"[-+]?\d+\.\d+(?:e[-+]\d+)?")
+
+
+def last_number_is_value(check):
+    # a row prints its value as %.3e, or %.6f for a margin that passed
+    fmt = ".6f" if check.name.endswith("margin") and check.status != "warn" else ".3e"
+    return NUMBER.findall(check.detail)[-1] == format(check.value, fmt)
+
+
+@pytest.mark.parametrize("kind", ["passive", "observer"])
+def test_validation_checks_are_records(kind):
+    checks = list(analysis.validation_checks(RunConfig(controller_kind=kind)))
+    assert tuple(c.name for c in checks) == CHECK_NAMES
+    assert all(c.status == "pass" for c in checks)
+    for check in checks:
+        assert last_number_is_value(check), check
+    by_name = {c.name: c for c in checks}
+    assert by_name["dissipativity"].value < 0.0  # the velocity block, not the zero top eigenvalue
+    assert by_name["closed_loop_margin"].detail.startswith(f"{kind}: ")
+
+
+def test_validation_checks_skip_rows_carry_nan():
+    checks = list(analysis.validation_checks(RunConfig(gamma=0.0, n_basis=6)))
+    assert tuple(c.name for c in checks) == CHECK_NAMES
+    statuses = [c.status for c in checks]
+    assert statuses == ["pass", "pass", "pass", "warn", "pass"] + ["skip"] * 5
+    for check in checks:
+        if check.status == "skip":
+            assert math.isnan(check.value), check
+        else:
+            assert last_number_is_value(check), check
 
 
 def test_assembled_plant_is_stable(params):

@@ -67,7 +67,12 @@ def test_validate_residual_failure_exits_1(monkeypatch, capsys, name, message):
 
     monkeypatch.setattr(synthesis, name, 1e-30)
     assert cli.main(["--config", str(REFERENCE_INI), "validate"]) == 1
-    assert message in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert message in captured.err
+    # the rows computed before the observer build were printed as they ran
+    printed = [line.split()[1] for line in captured.out.splitlines()]
+    assert printed == ["collocation_HB_eq_CT", "dissipation_structure", "dissipativity",
+                       "plant_margin", "transfer_oracle", "s_matrix_identity"]
 
 
 def test_validate_bad_config_exits_2(tmp_path):
@@ -251,11 +256,38 @@ def test_simulate_bad_perturbation_exits_2(tmp_path):
                    "simulate", "--perturb", "gammafast"])
     assert rc == 2
     for factors in ("gamma=nan", "gamma=inf", "m=inf", "rho_a=2", "EI=2", "scaled=2",
-                    "gamma=0.5,gamma=2", "m=2, m =2"):
+                    "gamma=0.5,gamma=2", "m=2, m =2", "", ","):
         rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"),
                        "simulate", "--perturb", factors])
         assert rc == 2, factors
     assert not (tmp_path / "x").exists()
+
+
+def test_unusable_output_path_exits_2(tmp_path, capsys):
+    # an output path that cannot be made a directory is a usage error, not a traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    short, _ = write_config(tmp_path, t_final=0.5)
+    no_dir = tmp_path / "no_dir.ini"
+    no_dir.write_text(short.read_text().replace("directory = out", "directory = "))
+    for config, out in ((short, [str(blocker)]), (short, [str(blocker / "sub")]),
+                        (short, [""]), (no_dir, [])):
+        rc = cli.main(["--config", str(config), *(["--out", *out] if out else []), "simulate"])
+        err = capsys.readouterr().err
+        assert rc == 2, (config, out)
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert blocker.read_text() == ""
+
+
+def test_one_step_simulation(tmp_path):
+    # t_final = dt: the decay fit's window takes both samples, under warnings as errors
+    path, cfg = write_config(tmp_path, t_final=0.005)
+    assert cli.main(["--config", str(path), "--out", str(tmp_path / "o"), "simulate"]) == 0
+    trace = np.loadtxt(tmp_path / "o" / "trace.csv", delimiter=",", skiprows=1)
+    nrm = np.linalg.norm(trace[:, 3:5], axis=1)
+    slope = (np.log(nrm[1]) - np.log(nrm[0])) / cfg.dt
+    decay = np.loadtxt(tmp_path / "o" / "summary.csv", delimiter=",", skiprows=1)[2]
+    assert decay == pytest.approx(slope, rel=1e-9)
 
 
 def test_simulate_deterministic(tmp_path):
@@ -299,7 +331,7 @@ def test_sweep_empty_grid_exits_2(tmp_path):
     rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"),
                    "sweep", "--param", "c1", "--grid", "1:2:0"])
     assert rc == 2
-    for grid in ("nan:1:3", "inf:1:3", "1:inf:3:log", "0:1:3", "1:-1:5:log", "1:0:5:log"):
+    for grid in ("nan:1:3", "inf:1:3", "1:inf:3:log", "0:1:3", "1:-1:5:log", "1:0:5:log", ""):
         rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"),
                        "sweep", "--param", "c1", "--grid", grid])
         assert rc == 2, grid
