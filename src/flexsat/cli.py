@@ -4,7 +4,8 @@ validate prints the records of analysis.validation_checks, each row as soon
 as it is computed.  Exit status: 0 on success, 1 on runtime or model failure
 (including failed validation checks and unstable closed loops), 2 on
 configuration or usage errors, including an output directory that cannot be
-created or written.
+created or written; analyze, simulate and sweep refuse an empty output path,
+or one that is or lies below an existing non-directory, before any work.
 """
 
 import argparse
@@ -71,6 +72,17 @@ def _parse_perturb(text: str) -> dict:
     if not out:
         raise ConfigError("empty perturbation list")
     return out
+
+
+def _check_outdir(path: str) -> None:
+    """Refuse an output path that cannot become a directory, before any work and creating nothing."""
+    if not path:
+        raise ValueError("the output directory must not be empty")
+    parent = path
+    while parent and not os.path.lexists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent or "."):
+        raise ValueError(f"cannot use {path!r} as output directory: {parent!r} is not a directory")
 
 
 def _ensure_outdir(path: str) -> str:
@@ -176,6 +188,7 @@ def main(argv=None) -> int:
         out_dir = args.out if args.out is not None else cfg.out_dir
         if args.command == "validate":
             return cmd_validate(cfg)
+        _check_outdir(out_dir)
         if args.command == "analyze":
             return cmd_analyze(cfg, out_dir)
         if args.command == "simulate":

@@ -1,11 +1,14 @@
 """Run configuration: a single INI file with nested sections.
 
-Vector values are whitespace-separated numbers; coefficient tables are rows
-separated by ';' with one row per positive frequency and one column per
-channel.  Initial panel profiles and disturbance shapes are polynomial
-coefficient lists (ascending powers of xi) or named presets.  The resolved
-configuration can be written back out and reparses to an identical value,
-which is what the run manifest relies on.
+Each key is one RunConfig field.  The field's annotation sets how the key is
+read and written: float and int as numbers, str as text, Vec as
+whitespace-separated numbers, and Mat as a coefficient table whose rows are
+separated by ';', one row per positive frequency and one column per channel.
+The field's entry in _SECTIONS sets the key's section, its name in the file
+and its place in the written file.  Initial panel profiles and disturbance
+shapes are polynomial coefficient lists (ascending powers of xi) or named
+presets.  The resolved configuration can be written back out and reparses to
+an identical value, which is what the run manifest relies on.
 """
 
 import configparser
@@ -26,13 +29,16 @@ class ConfigError(ValueError):
 
 
 INITIAL_PROFILE_PRESETS = ("parabolic_moment", "zero", "custom")
-CONTROLLER_KINDS = ("passive", "observer")
 
 # the gains each controller kind can sweep, with their default ranges (lo, hi)
 SWEEP_RANGES = {
     "passive": {"c1": (0.5, 10.0), "c2": (0.5, 10.0)},
     "observer": {"q0": (1.0, 100.0), "r0": (0.01, 1.0)},
 }
+CONTROLLER_KINDS = tuple(SWEEP_RANGES)
+
+Vec = tuple[float, ...]  # a whitespace-separated list of numbers in the file
+Mat = tuple[Vec, ...]  # rows separated by ';'
 
 
 def _numbers(value):
@@ -64,24 +70,24 @@ class RunConfig:
     q0: float = 10.0
     r0: float = 0.1
 
-    frequencies: tuple = (0.0, 1.0, 2.0, 5.0)
-    yref_const: tuple = (1.0, 2.0)
-    yref_cos: tuple = ((3.0, 0.0), (0.0, 1.5), (0.0, 0.0))
-    yref_sin: tuple = ((0.0, 0.0), (0.0, 0.0), (0.0, -1.0))
-    wd_const: tuple = (0.0, 0.0, 10.0, 15.0)
-    wd_cos: tuple = ((0.0,) * 4, (0.0,) * 4, (0.0,) * 4)
-    wd_sin: tuple = ((0.0,) * 4, (0.0,) * 4, (0.0,) * 4)
+    frequencies: Vec = (0.0, 1.0, 2.0, 5.0)
+    yref_const: Vec = (1.0, 2.0)
+    yref_cos: Mat = ((3.0, 0.0), (0.0, 1.5), (0.0, 0.0))
+    yref_sin: Mat = ((0.0, 0.0), (0.0, 0.0), (0.0, -1.0))
+    wd_const: Vec = (0.0, 0.0, 10.0, 15.0)
+    wd_cos: Mat = ((0.0,) * 4, (0.0,) * 4, (0.0,) * 4)
+    wd_sin: Mat = ((0.0,) * 4, (0.0,) * 4, (0.0,) * 4)
 
     t_final: float = 15.0
     dt: float = 0.005
     initial_profile: str = "parabolic_moment"
-    left_velocity: tuple = ()
-    right_velocity: tuple = ()
-    left_moment: tuple = ()
-    right_moment: tuple = ()
-    hub_velocity: tuple = (0.0, 0.0)
-    bd1: tuple = (1.0,)
-    bd2: tuple = (1.0,)
+    left_velocity: Vec = ()
+    right_velocity: Vec = ()
+    left_moment: Vec = ()
+    right_moment: Vec = ()
+    hub_velocity: Vec = (0.0, 0.0)
+    bd1: Vec = (1.0,)
+    bd2: Vec = (1.0,)
 
     sweep_points: int = 25
     sweep_scale: str = "log"
@@ -172,61 +178,46 @@ class RunConfig:
         return replace(self, **kw)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)  # shortest string that parses back to the same float
-    return str(value)
-
-
 def _fmt_vec(vec) -> str:
-    return " ".join(_fmt(float(v)) for v in vec)
+    return " ".join(repr(float(v)) for v in vec)  # repr: the shortest string that parses back
 
 
 def _fmt_mat(mat) -> str:
     return " ; ".join(_fmt_vec(row) for row in mat)
 
 
-def _parse_vec(text: str) -> tuple:
-    try:
-        return tuple(float(tok) for tok in text.split())
-    except ValueError as exc:
-        raise ConfigError(f"expected numbers, got {text!r}") from exc
+def _parse_vec(text: str) -> Vec:
+    return tuple(float(tok) for tok in text.split())
 
 
-def _parse_mat(text: str) -> tuple:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(_parse_vec(row) for row in text.split(";"))
+def _parse_mat(text: str) -> Mat:
+    return tuple(_parse_vec(row) for row in text.split(";")) if text.strip() else ()
 
 
-_SCHEMA = {
-    "physical": {
-        "rho": float, "a": float, "E": float, "I": float,
-        "gamma": float, "m": float, "I_m": float,
-    },
-    "discretization": {"n_basis": int},
-    "controller": {"kind": str, "c1": float, "c2": float, "q0": float, "r0": float},
-    "signals": {
-        "frequencies": "vec", "yref_const": "vec", "yref_cos": "mat",
-        "yref_sin": "mat", "wd_const": "vec", "wd_cos": "mat", "wd_sin": "mat",
-    },
-    "simulation": {
-        "t_final": float, "dt": float, "initial_profile": str,
-        "left_velocity": "vec", "right_velocity": "vec",
-        "left_moment": "vec", "right_moment": "vec",
-        "hub_velocity": "vec", "bd1": "vec", "bd2": "vec",
-    },
-    "sweep": {"points": int, "scale": str, "workers": int},
-    "output": {"directory": str, "seed": int},
-}
+# a value is read from and written to the file by its field's annotation in
+# _TYPES (the evaluated annotation: this module must not postpone annotations);
+# any annotation not listed here is called on the text and written with str
+_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_READERS = {str: str.strip, Vec: _parse_vec, Mat: _parse_mat}
+_WRITERS = {float: repr, Vec: _fmt_vec, Mat: _fmt_mat}
 
-# config key -> RunConfig field where the names differ
-_KEY_TO_FIELD = {
-    ("controller", "kind"): "controller_kind",
-    ("sweep", "points"): "sweep_points",
-    ("sweep", "scale"): "sweep_scale",
-    ("output", "directory"): "out_dir",
+
+def _keys(*entries) -> dict:
+    """{key: RunConfig field} in file order; an entry is 'key=field' where the names differ."""
+    return dict(e.split("=") if "=" in e else (e, e) for e in entries)
+
+
+# every key of the file, section by section, in the order config_to_ini writes them
+_SECTIONS = {
+    "physical": _keys("rho", "a", "E", "I", "gamma", "m", "I_m"),
+    "discretization": _keys("n_basis"),
+    "controller": _keys("kind=controller_kind", "c1", "c2", "q0", "r0"),
+    "signals": _keys("frequencies", "yref_const", "yref_cos", "yref_sin",
+                     "wd_const", "wd_cos", "wd_sin"),
+    "simulation": _keys("t_final", "dt", "initial_profile", "left_velocity", "right_velocity",
+                        "left_moment", "right_moment", "hub_velocity", "bd1", "bd2"),
+    "sweep": _keys("points=sweep_points", "scale=sweep_scale", "workers"),
+    "output": _keys("directory=out_dir", "seed"),
 }
 
 
@@ -240,22 +231,14 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"could not parse config: {exc}") from exc
     values = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in _SECTIONS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            kind = _SCHEMA[section][key]
-            field_name = _KEY_TO_FIELD.get((section, key), key)
+            name = _SECTIONS[section][key]
             try:
-                if kind == "vec":
-                    values[field_name] = _parse_vec(raw)
-                elif kind == "mat":
-                    values[field_name] = _parse_mat(raw)
-                elif kind is str:
-                    values[field_name] = raw.strip()
-                else:
-                    values[field_name] = kind(raw)
+                values[name] = _READERS.get(_TYPES[name], _TYPES[name])(raw)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
     return RunConfig(**values)
@@ -271,13 +254,11 @@ def load_config(path) -> RunConfig:
 
 def config_to_ini(cfg: RunConfig) -> str:
     """Serialize a resolved configuration; parsing the result reproduces it."""
-    formats = {"vec": _fmt_vec, "mat": _fmt_mat}
     buf = io.StringIO()
-    for section, keys in _SCHEMA.items():
+    for section, keys in _SECTIONS.items():
         buf.write(f"[{section}]\n")
-        for key, kind in keys.items():
-            value = getattr(cfg, _KEY_TO_FIELD.get((section, key), key))
-            buf.write(f"{key} = {formats.get(kind, _fmt)(value)}\n")
+        for key, name in keys.items():
+            buf.write(f"{key} = {_WRITERS.get(_TYPES[name], str)(getattr(cfg, name))}\n")
         buf.write("\n")
     return buf.getvalue()
 

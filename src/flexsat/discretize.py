@@ -148,44 +148,31 @@ def assemble(p: PhysicalParams, N: int, bd_profiles=None) -> LinearStateSpace:
         raise ValueError(f"N must be >= 1, got {N}")
     if bd_profiles is None:
         bd_profiles = (None, None)
-    bd1 = _as_profile(bd_profiles[0])
-    bd2 = _as_profile(bd_profiles[1])
 
     nq = 2 * N + _QUAD_EXTRA
+    nc = 2 + 2 * N
     basis_l = build_basis(N, "left")
     basis_r = build_basis(N, "right")
-    xl, wl = _panel_quadrature(basis_l.domain, nq)
-    xr, wr = _panel_quadrature(basis_r.domain, nq)
+    gram = np.zeros((nc, nc))
+    ke = np.empty(2 * N)
+    Bw = np.zeros((nc, 4))
+    for i, (basis, bd) in enumerate(zip((basis_l, basis_r), bd_profiles)):
+        xi, w = _panel_quadrature(basis.domain, nq)
+        # shape function values on this panel: rigid (1, xi) plus its elastic
+        # functions; the other panel's functions vanish there
+        V = np.zeros((nc, nq))
+        V[0], V[1] = 1.0, xi
+        V[2 + i * N : 2 + (i + 1) * N] = basis.eval(xi)
+        gram += (V * w) @ V.T
+        # elastic stiffness Gram: diagonal by Legendre orthogonality
+        ke[i * N : (i + 1) * N] = p.EI * (basis.eval(xi, order=2) ** 2) @ w
+        Bw[:, i] = V @ (w * _as_profile(bd)(xi))  # distributed disturbance on this panel
+    Bw[0, 2] = Bw[1, 3] = 1.0  # force and torque disturbances enter with the hub inputs
 
-    # shape function values on each panel: rigid (1, xi) plus that panel's
-    # elastic functions; the other panel's functions vanish there
-    nc = 2 + 2 * N
-    Vl = np.zeros((nc, nq))
-    Vr = np.zeros((nc, nq))
-    Vl[0], Vl[1] = 1.0, xl
-    Vr[0], Vr[1] = 1.0, xr
-    Vl[2 : 2 + N] = basis_l.eval(xl)
-    Vr[2 + N :] = basis_r.eval(xr)
-
-    gram = (Vl * wl) @ Vl.T + (Vr * wr) @ Vr.T
     M = p.rho_a * gram
     M[0, 0] += p.m
     M[1, 1] += p.I_m
     D = p.gamma * gram
-
-    # elastic stiffness Gram: diagonal by Legendre orthogonality
-    ke = np.empty(2 * N)
-    curv_l = basis_l.eval(xl, order=2)
-    curv_r = basis_r.eval(xr, order=2)
-    ke[:N] = p.EI * (curv_l**2) @ wl
-    ke[N:] = p.EI * (curv_r**2) @ wr
-
-    Bf = np.zeros((nc, 2))
-    Bf[0, 0] = Bf[1, 1] = 1.0
-    Bw = np.zeros((nc, 4))
-    Bw[:, 0] = Vl @ (wl * bd1(xl))
-    Bw[:, 1] = Vr @ (wr * bd2(xr))
-    Bw[:, 2:] = Bf
 
     L = np.linalg.cholesky(M)
     W = sla.solve_triangular(L, np.eye(nc), lower=True)

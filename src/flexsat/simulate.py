@@ -111,10 +111,7 @@ def matrix_exponential(M: np.ndarray) -> np.ndarray:
         return np.eye(M.shape[0])
     s = max(0, int(math.ceil(math.log2(norm / _THETA13))))
     U, V = _pade13(M / (2.0**s))
-    E = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        E = E @ E
-    return E
+    return np.linalg.matrix_power(np.linalg.solve(V - U, V + U), 2**s)
 
 
 def grid_steps(t_final: float, dt: float) -> int:
@@ -156,11 +153,7 @@ def propagate_autonomous(A: np.ndarray, x0: np.ndarray, T: float, dt: float, C: 
         for j in range(_BLOCK):
             c = c @ phi
             table[:, j, :] = c.T
-        # phi^B by squarings; against a chained phi^8 this moved trace.csv <= 4.7e-14 of each
-        # column maximum, and sweep l2sq 1.1e-13 and decay_rate 3.3e-11 relative (rounding)
-        pb = phi
-        for _ in range(_BLOCK.bit_length() - 1):
-            pb = pb @ pb
+        pb = np.linalg.matrix_power(phi, _BLOCK)  # five squarings, as _BLOCK is a power of 2
         for k in range(1, nb):
             starts[k] = pb @ starts[k - 1]
         # writes straight into ys: row k of the product is steps kB+1 .. kB+B

@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from flexsat import cli
+from flexsat import analysis, cli
 from flexsat.config import SWEEP_RANGES, RunConfig, config_to_ini, load_config
 
 REFERENCE_INI = pathlib.Path(__file__).resolve().parent.parent / "configs" / "reference.ini"
@@ -263,20 +263,27 @@ def test_simulate_bad_perturbation_exits_2(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
-def test_unusable_output_path_exits_2(tmp_path, capsys):
-    # an output path that cannot be made a directory is a usage error, not a traceback
+def test_unusable_output_path_exits_2(tmp_path, monkeypatch, capsys):
+    # an output path that cannot be made a directory is a usage error, refused before any model is built
+    assembled = []
+    for module in (analysis, cli):
+        monkeypatch.setattr(module, "assemble", lambda *a, **k: assembled.append(a))
     blocker = tmp_path / "file"
     blocker.write_text("")
     short, _ = write_config(tmp_path, t_final=0.5)
     no_dir = tmp_path / "no_dir.ini"
     no_dir.write_text(short.read_text().replace("directory = out", "directory = "))
-    for config, out in ((short, [str(blocker)]), (short, [str(blocker / "sub")]),
-                        (short, [""]), (no_dir, [])):
-        rc = cli.main(["--config", str(config), *(["--out", *out] if out else []), "simulate"])
-        err = capsys.readouterr().err
-        assert rc == 2, (config, out)
-        assert err.startswith("error: ") and err.count("\n") == 1, err
+    before = sorted(tmp_path.rglob("*"))
+    for command in (["analyze"], ["simulate"], ["sweep", "--param", "c1"]):
+        for config, out in ((short, [str(blocker)]), (short, [str(blocker / "sub")]),
+                            (short, [str(blocker / "sub" / "deeper")]), (short, [""]), (no_dir, [])):
+            rc = cli.main(["--config", str(config), *(["--out", *out] if out else []), *command])
+            err = capsys.readouterr().err
+            assert rc == 2, (command, config, out)
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert assembled == []
     assert blocker.read_text() == ""
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_one_step_simulation(tmp_path):

@@ -1,5 +1,7 @@
 """Configuration parsing, validation, and manifest round-trips."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,34 @@ def test_modified_config_roundtrip():
         seed=99,
     )
     assert parse_config(config_to_ini(cfg)) == cfg
+
+
+def test_every_field_roundtrips_off_default():
+    # every field away from its default: a field the file's sections lack would come back changed
+    cfg = RunConfig(
+        rho=1.5, a=0.8, E=2.0, I=0.7, gamma=3.7, m=1.2, I_m=0.9,
+        n_basis=7,
+        controller_kind="observer", c1=1.5, c2=3.0, q0=12.5, r0=0.05,
+        frequencies=(0.0, 0.5, np.pi),
+        yref_const=(0.1, -0.2),
+        yref_cos=((1.0, 0.0), (0.0, 2.0)),
+        yref_sin=((0.0, 0.25), (0.5, 0.0)),
+        wd_const=(1.0, 0.0, -1.0, 2.5),
+        wd_cos=((0.0,) * 4, (1.0, 0.0, 0.0, 0.0)),
+        wd_sin=((0.0, 0.0, 0.5, 0.0), (0.0,) * 4),
+        t_final=5.0, dt=0.01,
+        initial_profile="custom",
+        left_velocity=(0.1,), right_velocity=(0.0, -0.3),
+        left_moment=(2.0,), right_moment=(1.0, -2.0, 1.0),
+        hub_velocity=(0.3, -0.1), bd1=(1.0, 1.0), bd2=(0.5,),
+        sweep_points=9, sweep_scale="linear", workers=3,
+        out_dir="elsewhere", seed=99,
+    )
+    for f in fields(RunConfig):
+        assert getattr(cfg, f.name) != f.default, f.name
+    text = config_to_ini(cfg)
+    assert parse_config(text) == cfg
+    assert sum(" = " in line for line in text.splitlines()) == len(fields(RunConfig))
 
 
 def test_parse_partial_config():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import flexsat as fx
+from flexsat import synthesis
 from flexsat.synthesis import (
     CARE_RESIDUAL_RTOL,
     SYLVESTER_RESIDUAL_RTOL,
@@ -167,6 +168,21 @@ def test_care_residual_at_reference_internal_model(ss10, observer_ctrl, passive_
     # the observer realization carries the residual of the same solve
     assert observer_ctrl.care_residual == care_residual(im.G1, B1, Q, R, P)
     assert passive_ctrl.care_residual is None
+
+
+def test_care_newton_step_refines_schur_solution(ss10, monkeypatch):
+    # q0 = 1e4, r0 = 10 on the reference plant: the Schur solution alone misses the tolerance
+    residuals = []
+
+    def recorded(*args):
+        residuals.append(care_residual(*args))
+        return residuals[-1]
+
+    monkeypatch.setattr(synthesis, "care_residual", recorded)
+    ctrl = fx.build_observer_controller(ss10, FREQS, 1e4, 10.0)
+    schur, stepped, reported = residuals  # before and after the Newton step, then the realization's
+    assert schur > CARE_RESIDUAL_RTOL
+    assert stepped == reported == ctrl.care_residual < 0.1 * CARE_RESIDUAL_RTOL
 
 
 def test_care_rejects_unstabilizable():
