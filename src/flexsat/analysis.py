@@ -10,7 +10,7 @@ controller parameter at a time, recording margin and integrated squared
 tracking error per grid point, with failed points flagged, not fatal.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -215,7 +215,7 @@ def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("sweep grid must be strictly increasing")
     sweep_range(cfg, parameter)
-    points = [cfg.with_overrides(**{parameter: float(value)}) for value in grid]
+    points = [replace(cfg, **{parameter: float(value)}) for value in grid]
     ss = plant_from_config(cfg)
     x0_plant = project_initial_state(cfg.initial_profiles(), ss)
     yref, wd = cfg.yref_spec(), cfg.wd_spec()

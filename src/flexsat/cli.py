@@ -1,8 +1,9 @@
 """Command-line entry point: validate, analyze, simulate, and sweep workflows.
 
 validate prints the records of analysis.validation_checks, each row as soon
-as it is computed.  Exit status: 0 on success, 1 on runtime or model failure
-(including failed validation checks and unstable closed loops), 2 on
+as it is computed; sweep passes --grid as text to config.default_sweep_grid,
+which holds every grid rule.  Exit status: 0 on success, 1 on runtime or
+model failure (including failed validation checks and unstable loops), 2 on
 configuration or usage errors, including an output directory that cannot be
 created or written; analyze, simulate and sweep refuse an empty output path,
 or one that is or lies below an existing non-directory, before any work.
@@ -30,28 +31,6 @@ from .synthesis import assemble_closed_loop
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
-
-
-def _parse_grid(text: str) -> np.ndarray:
-    parts = text.split(":")
-    if len(parts) not in (3, 4):
-        raise ConfigError(f"grid must be lo:hi:n or lo:hi:n:log, got {text!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-        n = int(parts[2])
-    except ValueError as exc:
-        raise ConfigError(f"bad grid specification {text!r}") from exc
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ConfigError(f"grid bounds must be finite, got {text!r}")
-    if n < 1:
-        raise ConfigError(f"grid needs at least one point, got n={n}")
-    if len(parts) == 4:
-        if parts[3] != "log":
-            raise ConfigError(f"grid scale must be 'log', got {parts[3]!r}")
-        if lo <= 0 or hi <= 0:
-            raise ConfigError(f"log grids need lo > 0 and hi > 0, got {text!r}")
-        return np.geomspace(lo, hi, n)
-    return np.linspace(lo, hi, n)
 
 
 def _parse_perturb(text: str) -> dict:
@@ -153,7 +132,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, perturb: dict | None) -> int:
 
 def cmd_sweep(cfg: RunConfig, out_dir: str, parameter: str, grid_text: str | None) -> int:
     """Margin and tracking-error sweep over one controller parameter."""
-    grid = _parse_grid(grid_text) if grid_text is not None else default_sweep_grid(cfg, parameter)
+    grid = default_sweep_grid(cfg, parameter, grid_text)
     result = analysis.sweep(cfg, parameter, grid)
     path = os.path.join(_ensure_outdir(out_dir), f"sweep_{parameter}.csv")
     result.to_csv(path)
@@ -194,9 +173,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             perturb = _parse_perturb(args.perturb) if args.perturb is not None else None
             return cmd_simulate(cfg, out_dir, perturb)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, out_dir, args.param, args.grid)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_sweep(cfg, out_dir, args.param, args.grid)  # argparse allows no other command
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -7,8 +7,9 @@ separated by ';', one row per positive frequency and one column per channel.
 The field's entry in _SECTIONS sets the key's section, its name in the file
 and its place in the written file.  Initial panel profiles and disturbance
 shapes are polynomial coefficient lists (ascending powers of xi) or named
-presets.  The resolved configuration can be written back out and reparses to
-an identical value, which is what the run manifest relies on.
+presets.  Values are literal ('%' included); [DEFAULT] is an unknown section.
+The resolved configuration is written back out (the run manifest) and
+reparses to an identical value.  default_sweep_grid builds every sweep grid.
 """
 
 import configparser
@@ -124,6 +125,9 @@ class RunConfig:
                 raise ConfigError(f"{name}: {exc}") from exc
         if self.initial_profile not in INITIAL_PROFILE_PRESETS:
             raise ConfigError(f"initial profile must be one of {INITIAL_PROFILE_PRESETS}")
+        profiles = (self.left_velocity, self.right_velocity, self.left_moment, self.right_moment)
+        if self.initial_profile != "custom" and (any(profiles) or any(self.hub_velocity)):
+            raise ConfigError("profile coefficients and hub_velocity need initial_profile = custom")
         if self.sweep_scale not in ("log", "linear"):
             raise ConfigError("sweep scale must be 'log' or 'linear'")
         if self.sweep_points < 1:
@@ -174,9 +178,6 @@ class RunConfig:
     def bd_profiles(self) -> tuple:
         return (tuple(self.bd1), tuple(self.bd2))
 
-    def with_overrides(self, **kw) -> "RunConfig":
-        return replace(self, **kw)
-
 
 def _fmt_vec(vec) -> str:
     return " ".join(repr(float(v)) for v in vec)  # repr: the shortest string that parses back
@@ -223,7 +224,8 @@ _SECTIONS = {
 
 def parse_config(text: str) -> RunConfig:
     """Parse configuration text; missing keys keep their defaults."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None,
+                                       default_section="")
     parser.optionxform = str  # keys are case sensitive (E vs e)
     try:
         parser.read_string(text)
@@ -279,10 +281,24 @@ def sweep_range(cfg: RunConfig, parameter: str) -> tuple:
     return ranges[parameter]
 
 
-def default_sweep_grid(cfg: RunConfig, parameter: str) -> np.ndarray:
+def default_sweep_grid(cfg: RunConfig, parameter: str, spec: str | None = None) -> np.ndarray:
     """cfg.sweep_points values of a gain over its SWEEP_RANGES range, log- or
-    linearly spaced as cfg.sweep_scale says; the gain must suit the controller."""
+    linearly spaced as cfg.sweep_scale says; the gain must suit the controller.
+    A spec 'lo:hi:n' or 'lo:hi:n:log' replaces range, count and spacing: only
+    its text is checked here, and RunConfig judges lo and hi as values of the
+    gain and n as sweep_points (ConfigError naming the spec)."""
     lo, hi = sweep_range(cfg, parameter)
+    if spec is not None:
+        parts = spec.split(":")
+        try:
+            if len(parts) not in (3, 4) or parts[3:] not in ([], ["log"]):
+                raise ConfigError("expected lo:hi:n or lo:hi:n:log")
+            lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+            replace(cfg, **{parameter: lo})
+            cfg = replace(cfg, **{parameter: hi}, sweep_points=n,
+                          sweep_scale="log" if parts[3:] else "linear")
+        except ValueError as exc:  # ConfigError included
+            raise ConfigError(f"grid {spec!r}: {exc}") from exc
     if cfg.sweep_scale == "log":
         return np.geomspace(lo, hi, cfg.sweep_points)
     return np.linspace(lo, hi, cfg.sweep_points)

@@ -7,6 +7,7 @@ embedded in the assertion messages.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import flexsat as fx
@@ -223,7 +224,7 @@ def test_criterion_08_end_to_end_tracking(default_config, passive_loop, observer
         t_late = 1.0 + 11.0 * m_obs / m_pas if m_pas > 0.0 else math.inf
         ratios = {"observer": ratio(observer_trace, 12.0), "passive": math.inf}
         if t_late <= T_LATE_MAX:
-            long_cfg = default_config.with_overrides(t_final=float(math.ceil(t_late + 3.0)))
+            long_cfg = replace(default_config, t_final=float(math.ceil(t_late + 3.0)))
             ratios["passive"] = ratio(analysis.simulate_from_config(long_cfg, passive_loop), t_late)
         reference = {"passive": ratio(passive_trace, 12.0), "observer": ratios["observer"]}
     tracking_ok = all(r < 0.05 for r in ratios.values())
@@ -265,7 +266,7 @@ def test_criterion_10_sweep_trends(default_config):
             "c2": np.geomspace(0.5, 10.0, 7),
             "r0": np.geomspace(0.01, 1.0, 7),
         }
-        cfg_obs = default_config.with_overrides(controller_kind="observer")
+        cfg_obs = replace(default_config, controller_kind="observer")
         res = {
             "c1": analysis.sweep(default_config, "c1", grids["c1"]),
             "c2": analysis.sweep(default_config, "c2", grids["c2"]),

@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,7 +121,7 @@ def test_sweep_single_point_matches_direct(default_config, ss10, passive_loop, p
 def test_sweep_observer_single_point_matches_direct(default_config, ss10):
     # the sweep propagates only the error rows; integrate propagates the trace's
     for kind, parameter, value in (("observer", "r0", 0.1), ("passive", "c1", 2.5)):
-        cfg = default_config.with_overrides(controller_kind=kind, **{parameter: value})
+        cfg = replace(default_config, controller_kind=kind, **{parameter: value})
         res = analysis.sweep(cfg, parameter, [value])
         cl = fx.assemble_closed_loop(ss10, analysis.controller_from_config(cfg, ss10))
         trace = analysis.simulate_from_config(cfg, cl)
@@ -139,7 +140,7 @@ def test_sweep_propagates_error_rows_only(default_config, monkeypatch):
         return propagate(A, x0, T, dt, C)
 
     monkeypatch.setattr(fx.simulate, "propagate_autonomous", counting)
-    cfg = default_config.with_overrides(controller_kind="observer")
+    cfg = replace(default_config, controller_kind="observer")
     res = analysis.sweep(cfg, "r0", [0.05, 0.1, 0.2])
     assert res.stable.all()
     assert rows == [2, 2, 2]
@@ -175,7 +176,7 @@ def test_sweep_solves_sylvester_once(default_config, monkeypatch, kind, paramete
 
     for module in (analysis, fx.synthesis):
         monkeypatch.setattr(module, "solve_sylvester_H", counting)
-    cfg = default_config.with_overrides(controller_kind=kind)
+    cfg = replace(default_config, controller_kind=kind)
     res = analysis.sweep(cfg, parameter, grid)
     assert res.stable.all()
     assert len(calls) == solves
@@ -193,7 +194,7 @@ def _observer_point(cfg):
 def test_observer_sweep_margin_is_separation_margin(default_config, n_basis):
     # spec(Ae) = spec(A) twice with spec(G1 + B1 K1); on the reference plant
     # the servo spectrum binds, and the full eig of Ae agrees
-    cfg = default_config.with_overrides(controller_kind="observer", n_basis=n_basis)
+    cfg = replace(default_config, controller_kind="observer", n_basis=n_basis)
     ss, ctrl, cl = _observer_point(cfg)
     res = analysis.sweep(cfg, "r0", [cfg.r0])
     servo_margin = analysis.stability_margin(ctrl.servo)
@@ -203,10 +204,10 @@ def test_observer_sweep_margin_is_separation_margin(default_config, n_basis):
 
 
 def test_observer_sweep_margins_match_full_eig(default_config):
-    cfg = default_config.with_overrides(controller_kind="observer")
+    cfg = replace(default_config, controller_kind="observer")
     grid = [0.05, 0.1, 0.2]
     res = analysis.sweep(cfg, "r0", grid)
-    full = [analysis.stability_margin(_observer_point(cfg.with_overrides(r0=r0))[2].Ae) for r0 in grid]
+    full = [analysis.stability_margin(_observer_point(replace(cfg, r0=r0))[2].Ae) for r0 in grid]
     assert res.stable.all()
     np.testing.assert_allclose(res.margin, full, rtol=1e-11, atol=0.0)
     assert np.unique(res.margin).size == len(grid)
@@ -216,7 +217,7 @@ def test_observer_sweep_margin_binds_on_plant(default_config):
     # weak damping puts the plant spectrum, doubled in Ae, to the right of the
     # servo spectrum; the double eigenvalue splits by about sqrt(eps) in a
     # full eig of Ae, so the separation margin is the plant margin itself
-    cfg = default_config.with_overrides(controller_kind="observer", gamma=0.1)
+    cfg = replace(default_config, controller_kind="observer", gamma=0.1)
     ss, ctrl, cl = _observer_point(cfg)
     plant_margin = analysis.stability_margin(ss.A)
     assert plant_margin < analysis.stability_margin(ctrl.servo)
@@ -235,7 +236,7 @@ def test_observer_sweep_takes_no_closed_loop_eig(default_config, monkeypatch):
 
     for module in (fx.discretize, analysis, fx.synthesis):
         monkeypatch.setattr(module, "stability_margin", counting)
-    cfg = default_config.with_overrides(controller_kind="observer")
+    cfg = replace(default_config, controller_kind="observer")
     n = analysis.plant_from_config(cfg).n
     res = analysis.sweep(cfg, "r0", [0.05, 0.1, 0.2])
     assert res.stable.all()
@@ -250,7 +251,7 @@ def test_observer_sweep_takes_no_closed_loop_eig(default_config, monkeypatch):
 def test_sweep_equals_points_swept_one_at_a_time(default_config, kind, parameter, grid):
     # the points share the plant, x0, and for the observer H and the plant
     # margin; no point may leave a trace in what the next one reads
-    cfg = default_config.with_overrides(controller_kind=kind)
+    cfg = replace(default_config, controller_kind=kind)
     res = analysis.sweep(cfg, parameter, grid)
     alone = [analysis.sweep(cfg, parameter, [value]) for value in grid]
     assert res.stable.all()
@@ -284,7 +285,7 @@ def test_sweep_rejects_empty_grid(default_config):
 def test_sweep_rejects_inapplicable_parameter(default_config):
     with pytest.raises(ValueError):
         analysis.sweep(default_config, "q0", [1.0])
-    cfg_obs = default_config.with_overrides(controller_kind="observer")
+    cfg_obs = replace(default_config, controller_kind="observer")
     with pytest.raises(ValueError):
         analysis.sweep(cfg_obs, "c2", [1.0])
 

@@ -1,18 +1,19 @@
 """Command-line workflows: exit codes, file outputs, determinism."""
 
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from flexsat import analysis, cli
-from flexsat.config import SWEEP_RANGES, RunConfig, config_to_ini, load_config
+from flexsat.config import SWEEP_RANGES, RunConfig, config_to_ini, default_sweep_grid, load_config
 
 REFERENCE_INI = pathlib.Path(__file__).resolve().parent.parent / "configs" / "reference.ini"
 
 
 def write_config(tmp_path, cfg=None, **overrides):
-    cfg = (cfg or RunConfig()).with_overrides(**overrides) if overrides else (cfg or RunConfig())
+    cfg = replace(cfg or RunConfig(), **overrides)
     path = tmp_path / "run.ini"
     path.write_text(config_to_ini(cfg))
     return path, cfg
@@ -342,6 +343,38 @@ def test_sweep_empty_grid_exits_2(tmp_path):
         rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"),
                        "sweep", "--param", "c1", "--grid", grid])
         assert rc == 2, grid
+    assert not (tmp_path / "x").exists()
+
+
+def test_grid_spec_is_judged_by_runconfig(tmp_path, capsys):
+    cfg = RunConfig()
+    assert np.array_equal(default_sweep_grid(cfg, "c1", "0.5:10:25:log"), default_sweep_grid(cfg, "c1"))
+    assert np.array_equal(default_sweep_grid(cfg, "c2", "2:6:3"), np.linspace(2.0, 6.0, 3))
+    path, _ = write_config(tmp_path)
+    out = str(tmp_path / "x")
+    for grid, reason in (("1:0:5:log", "c1 must be positive"), ("nan:1:3", "c1 must be finite"),
+                         ("1:2:0", "sweep_points must be >= 1"), ("1:2:3:lin", "lo:hi:n:log"),
+                         ("a:2:3", "'a'"), ("", "lo:hi:n")):
+        assert cli.main(["--config", str(path), "--out", out, "sweep", "--param", "c1",
+                         "--grid", grid]) == 2, grid
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: grid {grid!r}: ") and reason in err, err
+    # the gain is judged before the grid text
+    assert cli.main(["--config", str(path), "--out", out, "sweep", "--param", "q0", "--grid", ""]) == 2
+    assert "passive controller" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_config_text_rules_through_cli(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text(config_to_ini(RunConfig(out_dir="runs/100%")))
+    assert cli.main(["--config", str(path), "validate"]) == 0
+    for text in ("[DEFAULT]\nrho = 2\n", "[DEFAULT]\nrho = 2\n[controller]\nc1 = 3\n",
+                 "[simulation]\ninitial_profile = zero\nleft_velocity = 1.0\n",
+                 "[simulation]\nhub_velocity = 0.0 0.5\n"):
+        path.write_text(text)
+        for command in ("validate", "simulate"):
+            assert cli.main(["--config", str(path), "--out", str(tmp_path / "x"), command]) == 2, text
     assert not (tmp_path / "x").exists()
 
 

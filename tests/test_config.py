@@ -1,6 +1,6 @@
 """Configuration parsing, validation, and manifest round-trips."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -155,6 +155,31 @@ def test_parse_rejects_unknown_structure():
         parse_config("no sections at all")
 
 
+def test_percent_in_a_value_is_literal():
+    # values are not interpolated: '%' loads as written and the manifest reparses to it
+    cfg = parse_config("[output]\ndirectory = runs/100%\n")
+    assert cfg.out_dir == "runs/100%"
+    assert parse_config(config_to_ini(cfg)) == cfg
+    assert parse_config("[output]\ndirectory = a%%b\n").out_dir == "a%%b"
+
+
+def test_default_section_is_refused():
+    for text in ("[DEFAULT]\nrho = 2\n", "[DEFAULT]\nrho = 2\n[controller]\nc1 = 3\n"):
+        with pytest.raises(ConfigError, match=r"unknown config section \[DEFAULT\]"):
+            parse_config(text)
+
+
+@pytest.mark.parametrize("preset", ["zero", "parabolic_moment"])
+def test_preset_refuses_profile_keys(preset):
+    for name, value in (("left_velocity", (1.0,)), ("right_velocity", (0.0, 2.0)),
+                        ("left_moment", (0.5,)), ("right_moment", (0.0, 1.0)),
+                        ("hub_velocity", (0.0, 0.3))):
+        with pytest.raises(ConfigError, match="initial_profile = custom"):
+            RunConfig(initial_profile=preset, **{name: value})
+    # empty lists and a zero hub velocity, as in configs/reference.ini, are no profile
+    assert RunConfig(initial_profile=preset, hub_velocity=(0.0, 0.0)).left_velocity == ()
+
+
 def test_gamma_zero_is_parseable():
     cfg = parse_config("[physical]\ngamma = 0.0\n")
     assert cfg.gamma == 0.0
@@ -173,7 +198,7 @@ def test_default_sweep_grids():
     cfg = RunConfig(sweep_points=5)
     g = default_sweep_grid(cfg, "c1")
     assert g.size == 5 and g[0] == pytest.approx(0.5) and g[-1] == pytest.approx(10.0)
-    obs = cfg.with_overrides(controller_kind="observer", sweep_scale="linear")
+    obs = replace(cfg, controller_kind="observer", sweep_scale="linear")
     g2 = default_sweep_grid(obs, "r0")
     assert np.allclose(np.diff(g2), np.diff(g2)[0])
     with pytest.raises(ConfigError):

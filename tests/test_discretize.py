@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import Legendre
 
 import flexsat as fx
@@ -108,6 +110,30 @@ def test_dissipation_identity_exact(ss10):
     target = np.zeros_like(sym)
     nb = 2 * ss10.n_basis
     target[nb:, nb:] = -2.0 * ss10.damping
+    assert np.array_equal(sym, target)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(
+    p=st.builds(
+        fx.PhysicalParams,
+        rho=_log_uniform(0.2, 5.0), a=_log_uniform(0.2, 5.0),
+        E=_log_uniform(0.2, 5.0), I=_log_uniform(0.2, 5.0),
+        gamma=st.floats(0.0, 10.0),
+        m=_log_uniform(math.exp(-1.5), math.exp(1.5)), I_m=_log_uniform(math.exp(-1.5), math.exp(1.5)),
+    ),
+    N=st.integers(4, 80),
+)
+def test_structural_invariants_exact_across_parameters(p, N):
+    ss = fx.assemble(p, N)
+    assert np.array_equal(ss.H @ ss.B, ss.C.T)
+    sym = ss.A.T @ ss.H + ss.H @ ss.A
+    target = np.zeros_like(sym)
+    target[2 * N:, 2 * N:] = -2.0 * ss.damping
     assert np.array_equal(sym, target)
 
 

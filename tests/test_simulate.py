@@ -1,5 +1,7 @@
 """Signal evaluation, matrix exponential, exact integration, error metrics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -210,7 +212,7 @@ def test_propagate_reference_loops_match_step_loop(default_config, passive_loop)
     A, x0 = augmented_loop(passive_loop, default_config)
     assert_matches_step_loop(A, x0, default_config.t_final, default_config.dt, np.eye(A.shape[0]))
 
-    cfg = default_config.with_overrides(controller_kind="observer", n_basis=20)
+    cfg = replace(default_config, controller_kind="observer", n_basis=20)
     ss = analysis.plant_from_config(cfg)
     cl = fx.assemble_closed_loop(ss, analysis.controller_from_config(cfg, ss))
     A, x0 = augmented_loop(cl, cfg)
