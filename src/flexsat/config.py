@@ -284,9 +284,9 @@ def sweep_range(cfg: RunConfig, parameter: str) -> tuple:
 def default_sweep_grid(cfg: RunConfig, parameter: str, spec: str | None = None) -> np.ndarray:
     """cfg.sweep_points values of a gain over its SWEEP_RANGES range, log- or
     linearly spaced as cfg.sweep_scale says; the gain must suit the controller.
-    A spec 'lo:hi:n' or 'lo:hi:n:log' replaces range, count and spacing: only
-    its text is checked here, and RunConfig judges lo and hi as values of the
-    gain and n as sweep_points (ConfigError naming the spec)."""
+    A spec 'lo:hi:n' or 'lo:hi:n:log' replaces range, count and spacing: its
+    text and lo < hi (if n > 1) are checked here, and RunConfig judges lo and hi
+    as values of the gain and n as sweep_points (ConfigError naming the spec)."""
     lo, hi = sweep_range(cfg, parameter)
     if spec is not None:
         parts = spec.split(":")
@@ -297,6 +297,8 @@ def default_sweep_grid(cfg: RunConfig, parameter: str, spec: str | None = None) 
             replace(cfg, **{parameter: lo})
             cfg = replace(cfg, **{parameter: hi}, sweep_points=n,
                           sweep_scale="log" if parts[3:] else "linear")
+            if n > 1 and not lo < hi:
+                raise ConfigError("lo must be below hi when n > 1")
         except ValueError as exc:  # ConfigError included
             raise ConfigError(f"grid {spec!r}: {exc}") from exc
     if cfg.sweep_scale == "log":

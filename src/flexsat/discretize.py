@@ -21,7 +21,10 @@ the rigid displacements they drop out of the state, which is
 of dimension 4N + 2.  In these coordinates the energy weight is exactly the
 identity (the state 2-norm squared is twice the mechanical energy), the
 collocation identity H B = C^T holds bit-exactly, and A^T H + H A equals
--blockdiag(0, 2 * damping) bit-exactly.
+-blockdiag(0, 2 * damping) bit-exactly.  Initial data reuse the same Gauss
+rule and shape rows: an initial velocity profile is projected as the load a
+distributed disturbance of that shape puts on B_w, and a hub velocity enters
+through the actuator columns.
 """
 
 from dataclasses import dataclass
@@ -79,10 +82,20 @@ def build_basis(n: int, side: str) -> BeamBasis:
     return BeamBasis(side=side, n=n, domain=_DOMAINS[side], coef=coef)
 
 
-def _panel_quadrature(domain, n_points):
-    xg, wg = npleg.leggauss(n_points)
-    lo, hi = domain
-    return 0.5 * (hi - lo) * xg + 0.5 * (hi + lo), 0.5 * (hi - lo) * wg
+def _panels(basis_l: BeamBasis, basis_r: BeamBasis):
+    """Yield (i, basis, xi, w, V) per panel (left i = 0, right i = 1): its 2N + 8
+    Gauss nodes and weights, and the rows V of every shape function there --
+    rigid 1 and xi, this panel's elastic functions, zeros for the other's."""
+    N = basis_l.n
+    nq = 2 * N + _QUAD_EXTRA
+    xg, wg = npleg.leggauss(nq)
+    for i, basis in enumerate((basis_l, basis_r)):
+        lo, hi = basis.domain
+        xi, w = 0.5 * (hi - lo) * xg + 0.5 * (hi + lo), 0.5 * (hi - lo) * wg
+        V = np.zeros((2 + 2 * N, nq))
+        V[0], V[1] = 1.0, xi
+        V[2 + i * N : 2 + (i + 1) * N] = basis.eval(xi)
+        yield i, basis, xi, w, V
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,20 +162,13 @@ def assemble(p: PhysicalParams, N: int, bd_profiles=None) -> LinearStateSpace:
     if bd_profiles is None:
         bd_profiles = (None, None)
 
-    nq = 2 * N + _QUAD_EXTRA
     nc = 2 + 2 * N
     basis_l = build_basis(N, "left")
     basis_r = build_basis(N, "right")
     gram = np.zeros((nc, nc))
     ke = np.empty(2 * N)
     Bw = np.zeros((nc, 4))
-    for i, (basis, bd) in enumerate(zip((basis_l, basis_r), bd_profiles)):
-        xi, w = _panel_quadrature(basis.domain, nq)
-        # shape function values on this panel: rigid (1, xi) plus its elastic
-        # functions; the other panel's functions vanish there
-        V = np.zeros((nc, nq))
-        V[0], V[1] = 1.0, xi
-        V[2 + i * N : 2 + (i + 1) * N] = basis.eval(xi)
+    for (i, basis, xi, w, V), bd in zip(_panels(basis_l, basis_r), bd_profiles):
         gram += (V * w) @ V.T
         # elastic stiffness Gram: diagonal by Legendre orthogonality
         ke[i * N : (i + 1) * N] = p.EI * (basis.eval(xi, order=2) ** 2) @ w
@@ -234,42 +240,28 @@ def project_initial_state(profiles: InitialProfiles, ss: LinearStateSpace) -> np
 
     Bending moments are converted to elastic coordinates through the
     stiffness-weighted projection (for polynomial moments of degree < N this
-    is exact); velocity profiles are projected in the mass inner product onto
-    the generalized velocities.
+    is exact).  A velocity profile is the same momentum load b as a distributed
+    disturbance of that shape (rho_a times its B_w column), a hub velocity
+    enters through the actuator columns as (m h0, I_m h1), and the velocity
+    block is L^T M^{-1} b = L^{-1} b.
     """
     N = ss.n_basis
     p = ss.params
-    nq = 2 * N + _QUAD_EXTRA
     x = np.zeros(ss.n)
     b = np.zeros(2 * N + 2)
-    any_vel = False
-    panels = ((0, ss.basis_left, profiles.left_moment, profiles.left_velocity),
-              (N, ss.basis_right, profiles.right_moment, profiles.right_velocity))
-    for offset, basis, mom, vel in panels:
-        if mom is None and vel is None:
-            continue
-        xi, w = _panel_quadrature(basis.domain, nq)
-        if mom is not None:
-            curv = basis.eval(xi, order=2)
-            mvals = _as_profile(mom)(xi)
+    moments = (profiles.left_moment, profiles.right_moment)
+    velocities = (profiles.left_velocity, profiles.right_velocity)
+    for i, basis, xi, w, V in _panels(ss.basis_left, ss.basis_right):
+        if moments[i] is not None:
             # phi_j'' are orthogonal, so the stiffness-weighted projection is
             # coefficientwise: a_j = <m, phi_j''> / ||phi_j''||^2
-            num = p.EI * curv @ (w * mvals)
-            a = num / ss.stiffness[offset : offset + N]
-            x[offset : offset + N] = np.sqrt(ss.stiffness[offset : offset + N]) * a
-        if vel is not None:
-            any_vel = True
-            vvals = _as_profile(vel)(xi)
-            b[0] += p.rho_a * np.sum(w * vvals)
-            b[1] += p.rho_a * np.sum(w * xi * vvals)
-            b[2 + offset : 2 + offset + N] = p.rho_a * basis.eval(xi) @ (w * vvals)
-    if profiles.hub_velocity != (0.0, 0.0):
-        any_vel = True
-        b[0] += p.m * profiles.hub_velocity[0]
-        b[1] += p.I_m * profiles.hub_velocity[1]
-    if any_vel:
-        # qd = M^{-1} b, state block is L^T qd = L^{-1} b
-        x[2 * N :] = ss.chol_inv @ b
+            ke = ss.stiffness[i * N : (i + 1) * N]
+            num = p.EI * basis.eval(xi, order=2) @ (w * _as_profile(moments[i])(xi))
+            x[i * N : (i + 1) * N] = np.sqrt(ke) * (num / ke)
+        if velocities[i] is not None:
+            b += p.rho_a * V @ (w * _as_profile(velocities[i])(xi))
+    b[:2] += p.m * profiles.hub_velocity[0], p.I_m * profiles.hub_velocity[1]
+    x[2 * N :] = ss.chol_inv @ b
     return x
 
 

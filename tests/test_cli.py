@@ -350,11 +350,13 @@ def test_grid_spec_is_judged_by_runconfig(tmp_path, capsys):
     cfg = RunConfig()
     assert np.array_equal(default_sweep_grid(cfg, "c1", "0.5:10:25:log"), default_sweep_grid(cfg, "c1"))
     assert np.array_equal(default_sweep_grid(cfg, "c2", "2:6:3"), np.linspace(2.0, 6.0, 3))
+    assert np.array_equal(default_sweep_grid(cfg, "c2", "1:1:1"), [1.0])  # one point needs no order
     path, _ = write_config(tmp_path)
     out = str(tmp_path / "x")
     for grid, reason in (("1:0:5:log", "c1 must be positive"), ("nan:1:3", "c1 must be finite"),
                          ("1:2:0", "sweep_points must be >= 1"), ("1:2:3:lin", "lo:hi:n:log"),
-                         ("a:2:3", "'a'"), ("", "lo:hi:n")):
+                         ("a:2:3", "'a'"), ("", "lo:hi:n"), ("2:1:3", "lo must be below hi"),
+                         ("1:1:2", "lo must be below hi"), ("5:1:3:log", "lo must be below hi")):
         assert cli.main(["--config", str(path), "--out", out, "sweep", "--param", "c1",
                          "--grid", grid]) == 2, grid
         err = capsys.readouterr().err

@@ -233,6 +233,33 @@ def test_project_velocity_energy(params):
     assert ss.energy(x2) == pytest.approx(want, rel=1e-12)
 
 
+def test_velocity_projects_as_distributed_disturbance():
+    # an initial velocity profile is the same load as a distributed
+    # disturbance of that shape: x0's velocity block is rho a times its Bd column,
+    # up to rounding (L^{-1} multiplies one load vector here and all of Bw there)
+    params = fx.PhysicalParams(rho=2.0, a=1.5, m=3.0, I_m=0.5)
+    shape = (0.3, -1.0, 2.0)
+    for N in (1, 4, 10, 20):
+        for col, bd, prof in ((0, (shape, None), fx.InitialProfiles(left_velocity=shape)),
+                              (1, (None, shape), fx.InitialProfiles(right_velocity=shape))):
+            ss = fx.assemble(params, N, bd)
+            got = fx.project_initial_state(prof, ss)
+            want = params.rho_a * ss.Bd[2 * N :, col]
+            assert np.max(np.abs(got[2 * N :] - want)) < 1e-12 * np.max(np.abs(want)), (N, col)
+            assert not got[: 2 * N].any()
+
+
+def test_hub_velocity_enters_through_actuator_columns():
+    params = fx.PhysicalParams(rho=2.0, a=1.5, m=3.0, I_m=0.5)
+    h0, h1 = 0.7, -0.2
+    for N in (1, 4, 10):
+        ss = fx.assemble(params, N)
+        x0 = fx.project_initial_state(fx.InitialProfiles(hub_velocity=(h0, h1)), ss)
+        want = ss.B[2 * N :] @ np.array([params.m * h0, params.I_m * h1])
+        assert np.max(np.abs(x0[2 * N :] - want)) < 1e-13 * np.max(np.abs(want)), N
+        assert not x0[: 2 * N].any()
+
+
 def test_galerkin_transfer_matches_closed_form(params, ss12):
     ref0 = fx.plant_transfer(0.0, params)
     assert np.max(np.abs(fx.galerkin_transfer(ss12, 0.0) - ref0)) < 1e-6
