@@ -7,9 +7,13 @@ model failure (including failed validation checks and unstable loops), 2 on
 configuration or usage errors, including an output directory that cannot be
 created or written; analyze, simulate and sweep refuse an empty output path,
 or one that is or lies below an existing non-directory, before any work.
+main first calls gc.freeze(): the numpy/scipy import graph lives until exit
+anyway, so exit-time collections skip it; the command's own objects are still
+collected.
 """
 
 import argparse
+import gc
 import os
 import sys
 
@@ -161,6 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else RunConfig()

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flexsat as fx
 from flexsat import analysis
@@ -67,6 +69,24 @@ def test_margin_decreases_with_damping():
         ss = fx.assemble(fx.PhysicalParams(gamma=gamma), 10)
         margins.append(analysis.stability_margin(ss.A))
     assert margins[0] > margins[1] > margins[2] > 0.0
+
+
+_PHYSICAL = ("rho", "a", "E", "I", "gamma", "m", "I_m")
+
+
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(factors=st.fixed_dictionaries({name: st.floats(-1.5, 1.5).map(math.exp) for name in _PHYSICAL}),
+       N=st.integers(4, 40))
+def test_plant_margin_reflects_damping(factors, N):
+    # validate calls a plant damped when its margin clears 1e-8: every damped
+    # draw does, the same draw at gamma = 0 stays at the rounding floor, and
+    # the damped plant agrees with the closed form at validate's frequencies
+    p = fx.PhysicalParams().scaled(**factors)
+    ss = fx.assemble(p, N)
+    assert ss.margin > 1e-8
+    assert abs(fx.assemble(replace(p, gamma=0.0), N).margin) <= 1e-8
+    if N >= 16:
+        assert analysis.oracle_error(ss, [0.5, 1.0, 2.0, 5.0, 0.0]) < 1e-8
 
 
 def test_resolvent_scalar_closed_form():

@@ -3,7 +3,10 @@
 import importlib
 import importlib.util
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 
@@ -85,3 +88,15 @@ def test_validate_synthesis_traced_as_one_controller_build(capsys):
     cares = [s for s in spans if s["name"] == "synthesis.care_solve"]
     assert len(builds) == 1 and len(cares) == 1
     assert cares[0]["parent"] == builds[0]["id"]
+
+
+def test_import_probe_rows_present():
+    # the traced run reads the cumulative -X importtime rows of these three
+    # modules; a missing row raises KeyError there and the run exits 1
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import flexsat"],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = {line.split("|")[2].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:") and line.count("|") == 2}
+    assert {"numpy", "scipy.linalg", "flexsat"} <= rows

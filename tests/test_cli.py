@@ -1,6 +1,9 @@
 """Command-line workflows: exit codes, file outputs, determinism."""
 
+import os
 import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +12,8 @@ import pytest
 from flexsat import analysis, cli
 from flexsat.config import SWEEP_RANGES, RunConfig, config_to_ini, default_sweep_grid, load_config
 
-REFERENCE_INI = pathlib.Path(__file__).resolve().parent.parent / "configs" / "reference.ini"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+REFERENCE_INI = ROOT / "configs" / "reference.ini"
 
 
 def write_config(tmp_path, cfg=None, **overrides):
@@ -478,3 +482,32 @@ def test_defaults_without_config(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     rc = cli.main(["--out", str(tmp_path / "d"), "analyze"])
     assert rc == 0
+
+
+def run_program(*args, cwd):
+    """``python -m flexsat.cli`` in a fresh interpreter, importing the package from src."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "flexsat.cli", *args], cwd=cwd, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+
+
+def test_program_matches_in_process_main(tmp_path, capsys):
+    # the path a user runs and the benchmark times: same stdout, same files, same exit codes
+    proc = run_program("--config", str(REFERENCE_INI), "validate", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert cli.main(["--config", str(REFERENCE_INI), "validate"]) == 0
+    assert proc.stdout == capsys.readouterr().out
+
+    program, in_process = tmp_path / "program", tmp_path / "in_process"
+    proc = run_program("--config", str(REFERENCE_INI), "--out", str(program), "simulate", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert cli.main(["--config", str(REFERENCE_INI), "--out", str(in_process), "simulate"]) == 0
+    names = sorted(p.name for p in in_process.iterdir())
+    assert names == ["manifest.txt", "summary.csv", "trace.csv"]
+    assert sorted(p.name for p in program.iterdir()) == names
+    for name in names:
+        assert (program / name).read_bytes() == (in_process / name).read_bytes(), name
+
+    proc = run_program("--config", str(tmp_path / "nope.ini"), "validate", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "config error:" in proc.stderr

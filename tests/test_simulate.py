@@ -5,9 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flexsat as fx
-from flexsat import analysis
+from flexsat import analysis, simulate
+from flexsat.config import RunConfig
 from flexsat.simulate import _augment, _exosystem
 
 
@@ -258,6 +261,20 @@ def test_integrate_grid_invariance(passive_loop, default_config):
     tr2 = fx.integrate(passive_loop, x0, yref, wd, 3.0, 0.005)
     assert np.max(np.abs(tr1.y - tr2.y[::2])) < 1e-10
     assert np.max(np.abs(tr1.e - tr2.e[::2])) < 1e-10
+
+
+@settings(max_examples=12, deadline=None, database=None, derandomize=True)
+@given(kind=st.sampled_from(["passive", "observer"]), N=st.integers(4, 40))
+def test_halving_dt_does_not_move_the_samples(kind, N):
+    # the integrator is exact at the grid points, so a finer grid only adds samples
+    cfg = RunConfig(controller_kind=kind, n_basis=N, t_final=5.0)
+    ss = analysis.plant_from_config(cfg)
+    cl = fx.assemble_closed_loop(ss, analysis.controller_from_config(cfg, ss))
+    args = (cl, analysis.initial_state_from_config(cfg, cl), cfg.yref_spec(), cfg.wd_spec(), cfg.t_final)
+    t, e = simulate.tracking_error(*args, cfg.dt)
+    t_fine, e_fine = simulate.tracking_error(*args, cfg.dt / 2)
+    assert np.array_equal(t, t_fine[::2])
+    assert np.max(np.abs(e - e_fine[::2])) <= 1e-10 * np.max(np.abs(e))
 
 
 def test_integrate_validates_inputs(passive_loop):
