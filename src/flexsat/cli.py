@@ -7,9 +7,9 @@ model failure (including failed validation checks and unstable loops), 2 on
 configuration or usage errors, including an output directory that cannot be
 created or written; analyze, simulate and sweep refuse an empty output path,
 or one that is or lies below an existing non-directory, before any work.
-main first calls gc.freeze(): the numpy/scipy import graph lives until exit
-anyway, so exit-time collections skip it; the command's own objects are still
-collected.
+When main reads sys.argv itself, the CLI is the program, and main first calls
+gc.freeze(): the numpy/scipy import graph lives until exit anyway, so exit-time
+collections skip it; a caller that passes argv keeps its garbage collectable.
 """
 
 import argparse
@@ -165,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    gc.freeze()
+    if argv is None:  # the CLI is the program: python -m flexsat.cli or the flexsat script
+        gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else RunConfig()

@@ -11,8 +11,8 @@ model with a full plant copy; its stabilizing gain comes from a continuous
 algebraic Riccati equation and its coupling from the regulator (Sylvester)
 equation G1 H = H A + G2 C of the real rotation-block internal model, solved
 with one shifted solve of the plant per tracked frequency.
-build_observer_controller is the one observer construction, and the
-realization it returns carries the Riccati residual.
+build_observer_controller is the one observer construction, and its
+realization carries the Riccati residual and servo margin care_solve accepted.
 """
 
 from dataclasses import dataclass
@@ -89,12 +89,12 @@ class ControllerRealization:
     """Matrices (G1, G2, K, kappa) of a dynamic error-feedback controller.
 
     An observer controller also carries design_plant, the plant it was built
-    on; servo, its Hurwitz servo matrix G1 + B1 K1; and care_residual, the
-    relative residual of the Riccati solution behind K1 (all None otherwise).
+    on, and the figures care_solve accepted for K1: servo_margin, the margin
+    of the servo matrix G1 + B1 K1, and care_residual (all None otherwise).
     Since K2 = K1 H and the plant copy has no error injection, the loop closed
     around design_plant is block-triangular in the coordinates
     (x - xhat, z1 + H xhat, xhat), so its spectrum is spec(A) twice together
-    with spec(servo); around any other plant that structure is lost.
+    with the servo spectrum; around any other plant that structure is lost.
     """
 
     G1: np.ndarray
@@ -102,7 +102,7 @@ class ControllerRealization:
     K: np.ndarray
     kappa: np.ndarray
     design_plant: LinearStateSpace | None = None
-    servo: np.ndarray | None = None
+    servo_margin: float | None = None
     care_residual: float | None = None
 
     @property
@@ -204,8 +204,8 @@ def care_solve(A, B, Q, R):
 
     Solved by an ordered Schur decomposition of the 2n x 2n Hamiltonian
     matrix (stable invariant subspace), followed by a Newton refinement step
-    when the residual calls for it.  Returns (P, K) with K = R^{-1} B^T P and
-    A - B K Hurwitz.
+    when the residual calls for it.  Returns (P, K, residual, margin): K is
+    R^{-1} B^T P; residual and margin (of A - B K) are what the checks accepted.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -245,9 +245,10 @@ def care_solve(A, B, Q, R):
     if eigs.min() < -1e-8 * max(eigs.max(), 1.0):
         raise RuntimeError("Riccati solution is not positive semidefinite")
     K = Rinv @ B.T @ P
-    if stability_margin(A - B @ K) <= 0.0:
+    margin = stability_margin(A - B @ K)
+    if margin <= 0.0:
         raise RuntimeError("Riccati gain failed to stabilize A - B K")
-    return P, K
+    return P, K, res, margin
 
 
 def build_observer_controller(ss: LinearStateSpace, freqs, q0: float, r0: float, H=None) -> ControllerRealization:
@@ -261,10 +262,10 @@ def build_observer_controller(ss: LinearStateSpace, freqs, q0: float, r0: float,
     the conventional sign is flipped).  A full copy of the plant acts as
     observer, and K2 = K1 H couples it back.
     """
-    if H is None:
-        H = solve_sylvester_H(ss, freqs)
     if q0 <= 0.0 or r0 <= 0.0:
         raise ValueError(f"q0 and r0 must be positive, got q0={q0!r}, r0={r0!r}")
+    if H is None:
+        H = solve_sylvester_H(ss, freqs)
     im = internal_model(freqs)
     B1 = H @ ss.B
     # every B1 block is a transfer-function value; they must be nonsingular
@@ -273,10 +274,8 @@ def build_observer_controller(ss: LinearStateSpace, freqs, q0: float, r0: float,
         if np.linalg.matrix_rank(rows, tol=1e-10) < 2:
             raise RuntimeError(f"plant transfer value at omega = {f} is singular; cannot stabilize")
 
-    Q, R = q0 * np.eye(im.dim), r0 * np.eye(2)
-    P, Klqr = care_solve(im.G1, B1, Q, R)
-    K1 = -Klqr
-    servo = im.G1 + B1 @ K1  # care_solve has checked that it is Hurwitz
+    _, Klqr, residual, servo_margin = care_solve(im.G1, B1, q0 * np.eye(im.dim), r0 * np.eye(2))
+    K1 = -Klqr  # so care_solve's checked A - B K is the servo matrix G1 + B1 K1, bit for bit
     K2 = K1 @ H
 
     n = ss.n
@@ -288,7 +287,7 @@ def build_observer_controller(ss: LinearStateSpace, freqs, q0: float, r0: float,
     G2 = np.vstack([_observer_G2(im), np.zeros((n, 2))])
     K = np.hstack([K1, K2])
     return ControllerRealization(G1=G1, G2=G2, K=K, kappa=np.zeros((2, 2)), design_plant=ss,
-                                 servo=servo, care_residual=care_residual(im.G1, B1, Q, R, P))
+                                 servo_margin=servo_margin, care_residual=residual)
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,11 +308,11 @@ class ClosedLoopSystem:
     @cached_property
     def margin(self) -> float:
         """Stability margin of Ae, computed on first use; around its design plant an
-        observer loop's is min(plant, servo) by separation (see ControllerRealization),
+        observer loop's is min(plant, servo_margin) by separation (see ControllerRealization),
         sparing an eig of Ae that splits the doubled plant spectrum by about sqrt(eps)."""
         ctrl = self.controller
-        if ctrl.servo is not None and ctrl.design_plant is self.plant:
-            return min(self.plant.margin, stability_margin(ctrl.servo))
+        if ctrl.servo_margin is not None and ctrl.design_plant is self.plant:
+            return min(self.plant.margin, ctrl.servo_margin)
         return stability_margin(self.Ae)
 
 

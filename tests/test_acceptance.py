@@ -164,14 +164,14 @@ def test_criterion_06_solver_residuals(ss10):
         B1 = H @ ss10.B
         Q = 10.0 * np.eye(im.dim)
         R = 0.1 * np.eye(2)
-        P, K = fx.care_solve(im.G1, B1, Q, R)
+        P, K, _, _ = fx.care_solve(im.G1, B1, Q, R)
         ric = im.G1.T @ P + P @ im.G1 - P @ B1 @ np.linalg.solve(R, B1.T @ P) + Q
         care_res = float(np.linalg.norm(ric) / np.linalg.norm(P))
         hurwitz = analysis.stability_margin(im.G1 - B1 @ K) > 0.0
 
-        P1, K1 = fx.care_solve(np.zeros((1, 1)), np.eye(1), np.eye(1), np.eye(1))
+        P1, K1, _, _ = fx.care_solve(np.zeros((1, 1)), np.eye(1), np.eye(1), np.eye(1))
         scalar1 = abs(P1[0, 0] - 1.0) < 1e-12 and abs(K1[0, 0] - 1.0) < 1e-12
-        P2, K2 = fx.care_solve(np.eye(1), np.eye(1), 2.0 * np.eye(1), np.eye(1))
+        P2, K2, _, _ = fx.care_solve(np.eye(1), np.eye(1), 2.0 * np.eye(1), np.eye(1))
         scalar2 = (abs(P2[0, 0] - 1.0 - math.sqrt(3.0)) < 1e-12
                    and abs(K2[0, 0] - 1.0 - math.sqrt(3.0)) < 1e-12)
 

@@ -217,9 +217,8 @@ def test_observer_sweep_margin_is_separation_margin(default_config, n_basis):
     cfg = replace(default_config, controller_kind="observer", n_basis=n_basis)
     ss, ctrl, cl = _observer_point(cfg)
     res = analysis.sweep(cfg, "r0", [cfg.r0])
-    servo_margin = analysis.stability_margin(ctrl.servo)
-    assert servo_margin < analysis.stability_margin(ss.A)
-    assert res.margin[0] == servo_margin
+    assert ctrl.servo_margin < analysis.stability_margin(ss.A)
+    assert res.margin[0] == ctrl.servo_margin
     assert res.margin[0] == pytest.approx(analysis.stability_margin(cl.Ae), rel=1e-11)
 
 
@@ -240,7 +239,7 @@ def test_observer_sweep_margin_binds_on_plant(default_config):
     cfg = replace(default_config, controller_kind="observer", gamma=0.1)
     ss, ctrl, cl = _observer_point(cfg)
     plant_margin = analysis.stability_margin(ss.A)
-    assert plant_margin < analysis.stability_margin(ctrl.servo)
+    assert plant_margin < ctrl.servo_margin
     res = analysis.sweep(cfg, "r0", [cfg.r0])
     assert res.margin[0] == plant_margin
     assert res.margin[0] == pytest.approx(analysis.stability_margin(cl.Ae), rel=1e-5)

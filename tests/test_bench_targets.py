@@ -68,8 +68,8 @@ def test_observer_sweep_points_traced_as_controller_builds():
 
 def test_observer_sweep_margins_traced():
     # the cached margins compute through the traced stability_margin: one for
-    # the plant, and per point the Riccati gain check and the servo margin
-    assert traced_observer_sweep()["analysis.stability_margin"]["calls"] == 7
+    # the plant, and per point the Riccati gain check, whose margin is the servo's
+    assert traced_observer_sweep()["analysis.stability_margin"]["calls"] == 4
 
 
 def test_validate_synthesis_traced_as_one_controller_build(capsys):

@@ -1,9 +1,11 @@
 """Command-line workflows: exit codes, file outputs, determinism."""
 
+import gc
 import os
 import pathlib
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -205,8 +207,8 @@ def test_observer_margin_from_separation_structure(tmp_path, monkeypatch):
 def test_each_margin_takes_one_eig(tmp_path, monkeypatch, capsys):
     # a plant's and a loop's margins are computed once each, and an observer
     # loop around its design plant takes none of its own: observer validate and
-    # simulate take the plant's, the Riccati check's and the servo's, and
-    # passive simulate only the loop's
+    # simulate take the plant's and the Riccati check's, which is the servo's,
+    # and passive simulate only the loop's
     from flexsat import analysis, discretize, synthesis
 
     sizes = []
@@ -220,8 +222,8 @@ def test_each_margin_takes_one_eig(tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(module, "stability_margin", counting)
     observer, cfg = write_config(tmp_path, controller_kind="observer")
     n = analysis.plant_from_config(cfg).n
-    for path, command, eigs in ((observer, "validate", 3), (REFERENCE_INI, "simulate", 1),
-                                (observer, "simulate", 3)):
+    for path, command, eigs in ((observer, "validate", 2), (REFERENCE_INI, "simulate", 1),
+                                (observer, "simulate", 2)):
         sizes.clear()
         assert cli.main(["--config", str(path), "--out", str(tmp_path / "x"), command]) == 0
         assert len(sizes) == eigs, (path, command, sizes)
@@ -484,11 +486,16 @@ def test_defaults_without_config(tmp_path, monkeypatch):
     assert rc == 0
 
 
-def run_program(*args, cwd):
-    """``python -m flexsat.cli`` in a fresh interpreter, importing the package from src."""
+def run_python(*args, cwd):
+    """A fresh interpreter with these arguments, importing the package from src."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "flexsat.cli", *args], cwd=cwd, capture_output=True,
+    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+
+
+def run_program(*args, cwd):
+    """``python -m flexsat.cli`` in a fresh interpreter."""
+    return run_python("-m", "flexsat.cli", *args, cwd=cwd)
 
 
 def test_program_matches_in_process_main(tmp_path, capsys):
@@ -511,3 +518,29 @@ def test_program_matches_in_process_main(tmp_path, capsys):
     proc = run_program("--config", str(tmp_path / "nope.ini"), "validate", cwd=tmp_path)
     assert proc.returncode == 2
     assert proc.stdout == "" and "config error:" in proc.stderr
+
+
+def test_in_process_main_leaves_pending_garbage_collectable(capsys):
+    # a caller that passes argv is not the CLI program, so main freezes nothing
+    # and the caller's pending cycles stay collectable
+    class Cycle:
+        pass
+
+    cycle = Cycle()
+    cycle.self = cycle
+    ref = weakref.ref(cycle)
+    del cycle
+    assert cli.main(["--config", str(REFERENCE_INI), "validate"]) == 0
+    capsys.readouterr()
+    gc.collect()
+    assert ref() is None
+
+
+def test_program_freezes_its_import_heap(tmp_path):
+    # main reading sys.argv itself is the CLI as the program, which freezes its heap
+    code = ("import gc, sys\nfrom flexsat import cli\n"
+            f"sys.argv = ['flexsat', '--config', {str(REFERENCE_INI)!r}, 'validate']\n"
+            "rc = cli.main()\nprint(gc.get_freeze_count(), file=sys.stderr)\nsys.exit(rc)\n")
+    proc = run_python("-c", code, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stderr.split()[-1]) > 0

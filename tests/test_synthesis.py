@@ -127,13 +127,13 @@ def test_sylvester_residual_separates_solution_from_perturbation(ss10):
 
 
 def test_care_scalar_integrator():
-    P, K = fx.care_solve(np.zeros((1, 1)), np.eye(1), np.eye(1), np.eye(1))
+    P, K, _, _ = fx.care_solve(np.zeros((1, 1)), np.eye(1), np.eye(1), np.eye(1))
     assert P[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert K[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_care_scalar_unstable():
-    P, K = fx.care_solve(np.eye(1), np.eye(1), 2.0 * np.eye(1), np.eye(1))
+    P, K, _, _ = fx.care_solve(np.eye(1), np.eye(1), 2.0 * np.eye(1), np.eye(1))
     assert P[0, 0] == pytest.approx(1.0 + math.sqrt(3.0), abs=1e-12)
     assert K[0, 0] == pytest.approx(1.0 + math.sqrt(3.0), abs=1e-12)
     # closed loop at -sqrt(3)
@@ -142,7 +142,7 @@ def test_care_scalar_unstable():
 
 def test_care_zero_cost_stable_plant():
     A = np.diag([-1.0, -2.0])
-    P, K = fx.care_solve(A, np.eye(2), np.zeros((2, 2)), np.eye(2))
+    P, K, _, _ = fx.care_solve(A, np.eye(2), np.zeros((2, 2)), np.eye(2))
     assert np.max(np.abs(P)) < 1e-12
     assert np.max(np.abs(K)) < 1e-12
 
@@ -153,18 +153,21 @@ def test_care_random_system():
     B = rng.standard_normal((5, 2))
     Q = np.eye(5)
     R = np.eye(2)
-    P, K = fx.care_solve(A, B, Q, R)
+    P, K, residual, margin = fx.care_solve(A, B, Q, R)
     res = A.T @ P + P @ A - P @ B @ np.linalg.solve(R, B.T @ P) + Q
     assert np.linalg.norm(res) < 1e-8 * np.linalg.norm(P)
     assert np.min(np.linalg.eigvalsh(P)) > -1e-10
     assert fx.stability_margin(A - B @ K) > 0.0
+    # the returned figures are the ones of the returned P and K
+    assert residual == care_residual(A, B, Q, R, P)
+    assert margin == fx.stability_margin(A - B @ K)
 
 
 def test_care_residual_at_reference_internal_model(ss10, observer_ctrl, passive_ctrl):
     im = fx.internal_model(FREQS)
     B1 = fx.solve_sylvester_H(ss10, FREQS) @ ss10.B
     Q, R = 10.0 * np.eye(im.dim), 0.1 * np.eye(2)
-    P, _ = fx.care_solve(im.G1, B1, Q, R)
+    P, _, _, _ = fx.care_solve(im.G1, B1, Q, R)
     # care_residual is already divided by max(||P||, 1)
     assert care_residual(im.G1, B1, Q, R, P) < CARE_RESIDUAL_RTOL
     assert care_residual(im.G1, B1, Q, R, P * (1.0 + 1e-6)) > CARE_RESIDUAL_RTOL
@@ -183,9 +186,9 @@ def test_care_newton_step_refines_schur_solution(ss10, monkeypatch):
 
     monkeypatch.setattr(synthesis, "care_residual", recorded)
     ctrl = fx.build_observer_controller(ss10, FREQS, 1e4, 10.0)
-    schur, stepped, reported = residuals  # before and after the Newton step, then the realization's
+    schur, stepped = residuals  # before and after the Newton step; the realization keeps the second
     assert schur > CARE_RESIDUAL_RTOL
-    assert stepped == reported == ctrl.care_residual < 0.1 * CARE_RESIDUAL_RTOL
+    assert stepped == ctrl.care_residual < 0.1 * CARE_RESIDUAL_RTOL
 
 
 def test_care_rejects_unstabilizable():
@@ -204,7 +207,7 @@ def test_observer_dimensions(observer_ctrl, ss10):
 def test_observer_internal_model_stabilized(ss10):
     im = fx.internal_model(FREQS)
     B1 = fx.solve_sylvester_H(ss10, FREQS) @ ss10.B
-    _, Klqr = fx.care_solve(im.G1, B1, 10.0 * np.eye(im.dim), 0.1 * np.eye(2))
+    _, Klqr, _, _ = fx.care_solve(im.G1, B1, 10.0 * np.eye(im.dim), 0.1 * np.eye(2))
     assert fx.stability_margin(im.G1 + B1 @ (-Klqr)) > 0.0
     # the Riccati gain with the conventional sign does not stabilize the
     # skew-symmetric model; the sign flip is essential
@@ -237,6 +240,41 @@ def test_observer_requires_stable_plant(ss10):
         fx.build_observer_controller(ss10, FREQS, -1.0, 0.1)
 
 
+def test_observer_refuses_bad_gains_before_any_solve(monkeypatch):
+    # on an undamped plant a bad r0 is reported, not the plant the Sylvester solve would refuse
+    def unreachable(*args):
+        raise AssertionError("solve_sylvester_H called before the gain check")
+
+    monkeypatch.setattr(synthesis, "solve_sylvester_H", unreachable)
+    ss0 = fx.assemble(fx.PhysicalParams(gamma=0.0), 6)
+    with pytest.raises(ValueError, match="r0"):
+        fx.build_observer_controller(ss0, FREQS, 10.0, 0.0)
+
+
+@pytest.mark.parametrize("q0, r0, residuals", [(10.0, 0.1, 1), (1e4, 10.0, 2)],
+                         ids=["reference", "newton-step"])
+def test_observer_build_checks_each_figure_once(ss10, monkeypatch, q0, r0, residuals):
+    # the realization keeps the residual and servo margin care_solve's checks
+    # computed, so neither the build nor its loop's margin computes them again
+    counts, sizes = [], []
+
+    def residual(*args):
+        counts.append(1)
+        return care_residual(*args)
+
+    def margin(A):
+        sizes.append(A.shape[0])
+        return fx.stability_margin(A)
+
+    monkeypatch.setattr(synthesis, "care_residual", residual)
+    monkeypatch.setattr(synthesis, "stability_margin", margin)
+    H = fx.solve_sylvester_H(ss10, FREQS)
+    ctrl = fx.build_observer_controller(ss10, FREQS, q0, r0, H)
+    assert fx.assemble_closed_loop(ss10, ctrl).margin == min(ss10.margin, ctrl.servo_margin)
+    assert len(counts) == residuals
+    assert sizes == [fx.internal_model(FREQS).dim]  # the Riccati check, which is the servo's
+
+
 def test_observer_closed_loop_margin(observer_loop, passive_loop):
     m_obs = fx.stability_margin(observer_loop.Ae)
     m_pas = fx.stability_margin(passive_loop.Ae)
@@ -258,7 +296,7 @@ def test_loop_margin_follows_the_design_plant():
         ss = fx.assemble(p, N)
         ctrl = fx.build_observer_controller(ss, FREQS, 10.0, 0.1)
         cl = fx.assemble_closed_loop(ss, ctrl)
-        assert cl.margin == min(ss.margin, fx.stability_margin(ctrl.servo))
+        assert cl.margin == min(ss.margin, ctrl.servo_margin)
         assert cl.margin == pytest.approx(fx.stability_margin(cl.Ae), rel=1e-5)
         fine = fx.assemble_closed_loop(fx.assemble(p, 2 * N), ctrl)
         assert fine.margin == fx.stability_margin(fine.Ae)
@@ -372,3 +410,12 @@ def test_observer_loop_regulates_around_perturbed_plants(factors):
     cl = fx.assemble_closed_loop(plant, _nominal_observer())
     assert cl.margin > 0.0
     assert max(fx.regulation_zero_check(cl, FREQS).values()) < 1e-8
+    # designed on the draw's own plant, the realization hands on exactly the
+    # servo margin and Riccati residual of the matrices it is built from
+    H = fx.solve_sylvester_H(plant, FREQS)
+    own = fx.build_observer_controller(plant, FREQS, 10.0, 0.1, H)
+    im = fx.internal_model(FREQS)
+    B1 = H @ plant.B
+    assert own.servo_margin == fx.stability_margin(im.G1 + B1 @ own.K[:, :im.dim])
+    Q, R = 10.0 * np.eye(im.dim), 0.1 * np.eye(2)
+    assert own.care_residual == care_residual(im.G1, B1, Q, R, fx.care_solve(im.G1, B1, Q, R)[0])
