@@ -26,7 +26,6 @@ from .synthesis import (
     build_passive_controller,
     regulation_zero_check,
     solve_sylvester_H,
-    sylvester_residual,
 )
 
 
@@ -160,9 +159,9 @@ def validation_checks(cfg: RunConfig):
     # one observer build: its solvers raise on a residual over their bound,
     # so these rows report the residuals they accepted; on an observer
     # config it is also the controller of the closed loop
-    H = solve_sylvester_H(ss, cfg.frequencies)
+    H, syl = solve_sylvester_H(ss, cfg.frequencies)
     observer = build_observer_controller(ss, cfg.frequencies, cfg.q0, cfg.r0, H)
-    syl, care = sylvester_residual(ss, cfg.frequencies, H), observer.care_residual
+    care = observer.care_residual
     yield Check("sylvester_residual", "pass", syl, f"relative residual = {syl:.3e}")
     yield Check("care_residual", "pass", care, f"relative residual = {care:.3e}")
 
@@ -222,7 +221,7 @@ def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
     H = None
     if cfg.controller_kind == "observer":
         try:
-            H = solve_sylvester_H(ss, cfg.frequencies)
+            H, _ = solve_sylvester_H(ss, cfg.frequencies)
         except (RuntimeError, ValueError):
             nan = np.full(grid.size, np.nan)
             return SweepResult(parameter, grid, nan, nan.copy(), np.zeros(grid.size, dtype=bool))

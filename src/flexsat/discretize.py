@@ -135,15 +135,13 @@ class LinearStateSpace:
 
 def _as_profile(fn):
     """Normalize a profile given as callable or polynomial coefficients."""
-    if fn is None:
-        return lambda x: np.ones_like(x)
     if callable(fn):
         return fn
     coeffs = np.asarray(fn, dtype=float)
     return lambda x: np.polynomial.polynomial.polyval(x, coeffs)
 
 
-def assemble(p: PhysicalParams, N: int, bd_profiles=None) -> LinearStateSpace:
+def assemble(p: PhysicalParams, N: int, bd_profiles=((1.0,), (1.0,))) -> LinearStateSpace:
     """Assemble the 4N + 2 dimensional state space for N basis functions per panel.
 
     Parameters
@@ -155,12 +153,11 @@ def assemble(p: PhysicalParams, N: int, bd_profiles=None) -> LinearStateSpace:
     bd_profiles : pair, optional
         Spatial shapes (b_d1, b_d2) of the two distributed disturbance
         channels, as callables on the panel domain or polynomial coefficient
-        sequences.  Defaults to the constant 1 on both panels.
+        sequences.  Defaults to the coefficients (1.0,), the constant 1, on
+        both panels, as RunConfig's bd1 and bd2 do.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    if bd_profiles is None:
-        bd_profiles = (None, None)
 
     nc = 2 + 2 * N
     basis_l = build_basis(N, "left")

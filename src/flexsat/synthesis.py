@@ -11,8 +11,9 @@ model with a full plant copy; its stabilizing gain comes from a continuous
 algebraic Riccati equation and its coupling from the regulator (Sylvester)
 equation G1 H = H A + G2 C of the real rotation-block internal model, solved
 with one shifted solve of the plant per tracked frequency.
-build_observer_controller is the one observer construction, and its
-realization carries the Riccati residual and servo margin care_solve accepted.
+Both solvers hand on the figures their checks accepted: solve_sylvester_H
+returns its residual with H, and the realization of build_observer_controller,
+the one observer construction, carries care_solve's residual and servo margin.
 """
 
 from dataclasses import dataclass
@@ -154,14 +155,15 @@ def _observer_G2(im: InternalModel) -> np.ndarray:
     return G2
 
 
-def solve_sylvester_H(ss: LinearStateSpace, freqs) -> np.ndarray:
+def solve_sylvester_H(ss: LinearStateSpace, freqs) -> tuple[np.ndarray, float]:
     """Real solution H of G1 H = H A + G2 C for the rotation-block internal model.
 
     G1 is internal_model(freqs).G1, G2 the observer's error input, and the rows
     of H follow its blocks.  With R_w = C (i w I - A)^{-1}, one shifted solve per
     tracked frequency, the zero block is Re R_0 and each rotation block stacks
     sqrt(2) Im R_w over sqrt(2) Re R_w.  The plant must be exponentially stable
-    so that every shift is regular.
+    so that every shift is regular.  Returns (H, residual): residual is the
+    sylvester_residual of H that the bound check accepted.
     """
     if ss.margin <= 0.0:
         raise RuntimeError(f"plant must be exponentially stable (stability margin {ss.margin:.3e})")
@@ -178,7 +180,7 @@ def solve_sylvester_H(ss: LinearStateSpace, freqs) -> np.ndarray:
             f"relative Sylvester residual {residual:.3e} exceeds {SYLVESTER_RESIDUAL_RTOL:.1e} "
             f"(worst shift condition number {worst:.3e})"
         )
-    return H
+    return H, residual
 
 
 def sylvester_residual(ss: LinearStateSpace, freqs, H: np.ndarray) -> float:
@@ -254,24 +256,23 @@ def care_solve(A, B, Q, R):
 def build_observer_controller(ss: LinearStateSpace, freqs, q0: float, r0: float, H=None) -> ControllerRealization:
     """Observer-based internal-model controller from the Sylvester solution H.
 
-    H is solve_sylvester_H(ss, freqs), which depends on the plant alone and is
-    solved here when not given.  The servocompensator is the real
-    rotation-block internal model driven by the tracking error; its
-    stabilizing gain K1 makes G1 + B1 K1 Hurwitz via the Riccati equation with
-    weights q0 I and r0 I (the Riccati gain enters with a plus sign here, so
-    the conventional sign is flipped).  A full copy of the plant acts as
-    observer, and K2 = K1 H couples it back.
+    H is the solution solve_sylvester_H(ss, freqs) returns (its residual is
+    not kept here); it depends on the plant alone and is solved here when not
+    given.  The servocompensator is the real rotation-block internal model
+    driven by the tracking error; its stabilizing gain K1 makes G1 + B1 K1
+    Hurwitz via the Riccati equation with weights q0 I and r0 I (the Riccati
+    gain enters with a plus sign here, so the conventional sign is flipped).
+    A full copy of the plant acts as observer, and K2 = K1 H couples it back.
     """
     if q0 <= 0.0 or r0 <= 0.0:
         raise ValueError(f"q0 and r0 must be positive, got q0={q0!r}, r0={r0!r}")
     if H is None:
-        H = solve_sylvester_H(ss, freqs)
+        H, _ = solve_sylvester_H(ss, freqs)
     im = internal_model(freqs)
     B1 = H @ ss.B
     # every B1 block is a transfer-function value; they must be nonsingular
     for f, sl in im.blocks:
-        rows = B1[sl.start : sl.start + 2] if f == 0.0 else B1[sl]
-        if np.linalg.matrix_rank(rows, tol=1e-10) < 2:
+        if np.linalg.matrix_rank(B1[sl], tol=1e-10) < 2:
             raise RuntimeError(f"plant transfer value at omega = {f} is singular; cannot stabilize")
 
     _, Klqr, residual, servo_margin = care_solve(im.G1, B1, q0 * np.eye(im.dim), r0 * np.eye(2))

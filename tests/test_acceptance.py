@@ -159,7 +159,7 @@ def test_criterion_05_structural_identities(params, ss10, default_config):
 
 def test_criterion_06_solver_residuals(ss10):
     with Timer() as tm:
-        H = fx.solve_sylvester_H(ss10, FREQS)
+        H, _ = fx.solve_sylvester_H(ss10, FREQS)
         im = fx.internal_model(FREQS)
         B1 = H @ ss10.B
         Q = 10.0 * np.eye(im.dim)

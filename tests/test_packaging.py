@@ -1,0 +1,36 @@
+"""The package metadata declares what the test suite imports."""
+
+import ast
+import pathlib
+import re
+import sys
+import tomllib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _requirement_names(requirements) -> set[str]:
+    """Import names of PEP 508 requirement strings ("numpy>=2.0" -> "numpy")."""
+    return {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower().replace("-", "_") for req in requirements}
+
+
+def _top_level_imports(path: pathlib.Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_test_imports_are_declared():
+    # `pip install -e '.[test]'` followed by `pytest` must collect every module
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = _requirement_names(project["dependencies"] + project["optional-dependencies"]["test"])
+    allowed = set(sys.stdlib_module_names) | {"flexsat", "conftest"} | declared
+    undeclared = {
+        path.name: sorted(_top_level_imports(path) - allowed)
+        for path in sorted((ROOT / "tests").glob("*.py"))
+    }
+    assert {name: mods for name, mods in undeclared.items() if mods} == {}

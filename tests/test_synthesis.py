@@ -84,7 +84,7 @@ def test_passive_transfer_closed_form(passive_ctrl):
 
 
 def test_sylvester_zero_frequency_block(ss10):
-    H = fx.solve_sylvester_H(ss10, FREQS)
+    H, _ = fx.solve_sylvester_H(ss10, FREQS)
     im = fx.internal_model(FREQS)
     f0, sl0 = im.blocks[0]
     assert f0 == 0.0
@@ -96,7 +96,7 @@ def test_sylvester_zero_frequency_block(ss10):
 def test_sylvester_rows_give_transfer_values(ss10):
     # H B stacks transfer values G(i w): G(0) on the zero block, and
     # sqrt(2) Im G(i w) over sqrt(2) Re G(i w) on each rotation block
-    H = fx.solve_sylvester_H(ss10, FREQS)
+    H, _ = fx.solve_sylvester_H(ss10, FREQS)
     for f, sl in fx.internal_model(FREQS).blocks:
         got = H[sl] @ ss10.B
         G = fx.galerkin_transfer(ss10, f)
@@ -105,7 +105,7 @@ def test_sylvester_rows_give_transfer_values(ss10):
 
 
 def test_sylvester_residual(ss10):
-    H = fx.solve_sylvester_H(ss10, FREQS)
+    H, returned = fx.solve_sylvester_H(ss10, FREQS)
     im = fx.internal_model(FREQS)
     # the observer's error input: I on the zero block, sqrt(2) I on the
     # trailing half of each rotation block
@@ -115,10 +115,12 @@ def test_sylvester_residual(ss10):
     res = np.linalg.norm(im.G1 @ H - H @ ss10.A - G2 @ ss10.C)
     assert res < 1e-8 * (1.0 + np.linalg.norm(H))
     assert sylvester_residual(ss10, FREQS, H) == pytest.approx(res / (1.0 + np.linalg.norm(H)), rel=1e-12)
+    # the solve hands on the residual its bound check accepted, bit for bit
+    assert returned == sylvester_residual(ss10, FREQS, H)
 
 
 def test_sylvester_residual_separates_solution_from_perturbation(ss10):
-    H = fx.solve_sylvester_H(ss10, FREQS)
+    H, _ = fx.solve_sylvester_H(ss10, FREQS)
     assert sylvester_residual(ss10, FREQS, H) < SYLVESTER_RESIDUAL_RTOL
     assert sylvester_residual(ss10, FREQS, H * (1.0 + 1e-6)) > SYLVESTER_RESIDUAL_RTOL
 
@@ -165,7 +167,8 @@ def test_care_random_system():
 
 def test_care_residual_at_reference_internal_model(ss10, observer_ctrl, passive_ctrl):
     im = fx.internal_model(FREQS)
-    B1 = fx.solve_sylvester_H(ss10, FREQS) @ ss10.B
+    H, _ = fx.solve_sylvester_H(ss10, FREQS)
+    B1 = H @ ss10.B
     Q, R = 10.0 * np.eye(im.dim), 0.1 * np.eye(2)
     P, _, _, _ = fx.care_solve(im.G1, B1, Q, R)
     # care_residual is already divided by max(||P||, 1)
@@ -206,7 +209,8 @@ def test_observer_dimensions(observer_ctrl, ss10):
 
 def test_observer_internal_model_stabilized(ss10):
     im = fx.internal_model(FREQS)
-    B1 = fx.solve_sylvester_H(ss10, FREQS) @ ss10.B
+    H, _ = fx.solve_sylvester_H(ss10, FREQS)
+    B1 = H @ ss10.B
     _, Klqr, _, _ = fx.care_solve(im.G1, B1, 10.0 * np.eye(im.dim), 0.1 * np.eye(2))
     assert fx.stability_margin(im.G1 + B1 @ (-Klqr)) > 0.0
     # the Riccati gain with the conventional sign does not stabilize the
@@ -217,7 +221,7 @@ def test_observer_internal_model_stabilized(ss10):
 def test_real_internal_model_sylvester_identity(ss10, observer_ctrl):
     # the internal-model rows of the controller realization are the G1 and G2
     # that solve_sylvester_H's H satisfies
-    H = fx.solve_sylvester_H(ss10, FREQS)
+    H, _ = fx.solve_sylvester_H(ss10, FREQS)
     nz = fx.internal_model(FREQS).dim
     G1, G2 = observer_ctrl.G1[:nz, :nz], observer_ctrl.G2[:nz]
     res = np.linalg.norm(G1 @ H - H @ ss10.A - G2 @ ss10.C)
@@ -227,7 +231,7 @@ def test_real_internal_model_sylvester_identity(ss10, observer_ctrl):
 def test_real_internal_model_accepts_high_frequency(ss10):
     # eigenvalues of a rotation block carry rounding of order eps * w, so a
     # fixed absolute spectrum tolerance would reject a valid w = 1e7
-    H = fx.solve_sylvester_H(ss10, (1.0, 1e7))
+    H, _ = fx.solve_sylvester_H(ss10, (1.0, 1e7))
     assert H.shape == (8, ss10.n)
     assert np.all(np.isfinite(H))
 
@@ -268,7 +272,7 @@ def test_observer_build_checks_each_figure_once(ss10, monkeypatch, q0, r0, resid
 
     monkeypatch.setattr(synthesis, "care_residual", residual)
     monkeypatch.setattr(synthesis, "stability_margin", margin)
-    H = fx.solve_sylvester_H(ss10, FREQS)
+    H, _ = fx.solve_sylvester_H(ss10, FREQS)
     ctrl = fx.build_observer_controller(ss10, FREQS, q0, r0, H)
     assert fx.assemble_closed_loop(ss10, ctrl).margin == min(ss10.margin, ctrl.servo_margin)
     assert len(counts) == residuals
@@ -412,7 +416,7 @@ def test_observer_loop_regulates_around_perturbed_plants(factors):
     assert max(fx.regulation_zero_check(cl, FREQS).values()) < 1e-8
     # designed on the draw's own plant, the realization hands on exactly the
     # servo margin and Riccati residual of the matrices it is built from
-    H = fx.solve_sylvester_H(plant, FREQS)
+    H, _ = fx.solve_sylvester_H(plant, FREQS)
     own = fx.build_observer_controller(plant, FREQS, 10.0, 0.1, H)
     im = fx.internal_model(FREQS)
     B1 = H @ plant.B
