@@ -49,7 +49,6 @@ from .synthesis import (
     internal_model,
     regulation_zero_check,
     solve_sylvester_H,
-    zero_controller,
 )
 
 __version__ = "0.1.0"
@@ -72,7 +71,6 @@ __all__ = [
     "InternalModel",
     "internal_model",
     "ControllerRealization",
-    "zero_controller",
     "build_passive_controller",
     "solve_sylvester_H",
     "care_solve",

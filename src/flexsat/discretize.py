@@ -21,17 +21,18 @@ the rigid displacements they drop out of the state, which is
 of dimension 4N + 2.  In these coordinates the energy weight is exactly the
 identity (the state 2-norm squared is twice the mechanical energy), the
 collocation identity H B = C^T holds bit-exactly, and A^T H + H A equals
--blockdiag(0, 2 * damping) bit-exactly.  Initial data reuse the same Gauss
-rule and shape rows: an initial velocity profile is projected as the load a
-distributed disturbance of that shape puts on B_w, and a hub velocity enters
-through the actuator columns.
+-blockdiag(0, 2 * damping) bit-exactly.  The plant keeps the Cholesky factor
+L itself, not its inverse.  Initial data reuse the same Gauss rule and shape
+rows: an initial velocity profile is projected as the load a distributed
+disturbance of that shape puts on B_w, a hub velocity enters through the
+actuator columns, and the velocity block is that load solved against L.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.blas import dtrsm
 from numpy.polynomial import legendre as npleg
 from numpy.polynomial import polyutils as pu
 
@@ -120,7 +121,7 @@ class LinearStateSpace:
     basis_right: BeamBasis
     damping: np.ndarray       # velocity-block damping in state coordinates
     stiffness: np.ndarray     # diagonal of the elastic stiffness Gram
-    chol_inv: np.ndarray      # L^{-1} with M = L L^T
+    chol: np.ndarray          # lower Cholesky factor L, M = L L^T; initial data are solved against it
 
     def energy(self, x: np.ndarray) -> float:
         """Mechanical energy of a plant state (elastic plus kinetic)."""
@@ -178,7 +179,8 @@ def assemble(p: PhysicalParams, N: int, bd_profiles=((1.0,), (1.0,))) -> LinearS
     D = p.gamma * gram
 
     L = np.linalg.cholesky(M)
-    W = sla.solve_triangular(L, np.eye(nc), lower=True)
+    # BLAS trsm, not solve_triangular: OpenBLAS's trtrs threads at every size and wakes scipy's own pool
+    W = dtrsm(1.0, L, np.eye(nc), lower=1)
 
     n = 4 * N + 2
     sk = np.sqrt(ke)
@@ -211,7 +213,7 @@ def assemble(p: PhysicalParams, N: int, bd_profiles=((1.0,), (1.0,))) -> LinearS
         basis_right=basis_r,
         damping=Dt,
         stiffness=ke,
-        chol_inv=W,
+        chol=L,
     )
 
 
@@ -240,7 +242,7 @@ def project_initial_state(profiles: InitialProfiles, ss: LinearStateSpace) -> np
     is exact).  A velocity profile is the same momentum load b as a distributed
     disturbance of that shape (rho_a times its B_w column), a hub velocity
     enters through the actuator columns as (m h0, I_m h1), and the velocity
-    block is L^T M^{-1} b = L^{-1} b.
+    block is L^T M^{-1} b = L^{-1} b, one triangular solve against ss.chol.
     """
     N = ss.n_basis
     p = ss.params
@@ -258,7 +260,7 @@ def project_initial_state(profiles: InitialProfiles, ss: LinearStateSpace) -> np
         if velocities[i] is not None:
             b += p.rho_a * V @ (w * _as_profile(velocities[i])(xi))
     b[:2] += p.m * profiles.hub_velocity[0], p.I_m * profiles.hub_velocity[1]
-    x[2 * N :] = ss.chol_inv @ b
+    x[2 * N :] = dtrsm(1.0, ss.chol, b[:, None], lower=1)[:, 0]
     return x
 
 

@@ -111,16 +111,6 @@ class ControllerRealization:
         return self.G1.shape[0]
 
 
-def zero_controller() -> ControllerRealization:
-    """Degenerate zero-dimensional controller (closed loop equals the plant)."""
-    return ControllerRealization(
-        G1=np.zeros((0, 0)),
-        G2=np.zeros((0, 2)),
-        K=np.zeros((2, 0)),
-        kappa=np.zeros((2, 2)),
-    )
-
-
 def build_passive_controller(freqs, c1: float, c2: float) -> ControllerRealization:
     """Passive internal-model controller.
 

@@ -36,6 +36,14 @@ def passive_ctrl():
 
 
 @pytest.fixture(scope="session")
+def plant_only_ctrl():
+    """Zero-dimensional controller with no feedthrough: the closed loop is the plant."""
+    return fx.ControllerRealization(
+        G1=np.zeros((0, 0)), G2=np.zeros((0, 2)), K=np.zeros((2, 0)), kappa=np.zeros((2, 2))
+    )
+
+
+@pytest.fixture(scope="session")
 def observer_ctrl(ss10):
     return fx.build_observer_controller(ss10, FREQS, 10.0, 0.1)
 

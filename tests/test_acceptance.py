@@ -108,7 +108,7 @@ def test_criterion_04_exponential_stability(params, ss10):
     assert ok, msg
 
 
-def test_criterion_05_structural_identities(params, ss10, default_config):
+def test_criterion_05_structural_identities(params, ss10, default_config, plant_only_ctrl):
     with Timer() as tm:
         collocation = bool(np.array_equal(ss10.H @ ss10.B, ss10.C.T))
 
@@ -123,7 +123,7 @@ def test_criterion_05_structural_identities(params, ss10, default_config):
         # dissipation is carried by the damped velocity block
         vel_top5 = float(np.max(np.linalg.eigvalsh(sym5[nb:, nb:])))
 
-        cl = fx.assemble_closed_loop(ss10, fx.zero_controller())
+        cl = fx.assemble_closed_loop(ss10, plant_only_ctrl)
         yref = fx.SignalSpec.create((1.0, 2.0), np.zeros(2))
         wd = fx.SignalSpec.create(
             (1.0, 2.0), np.zeros(4),

@@ -2,8 +2,10 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Legendre
@@ -71,7 +73,7 @@ def test_assembly_with_series_basis_is_bit_identical(params, monkeypatch):
     profiles = fx.InitialProfiles(left_velocity=lambda x: np.sin(2.0 * x), right_velocity=(0.3, 0.0, -1.0),
                                   left_moment=(1.0, 2.0, 0.0, -4.0), right_moment=lambda x: np.exp(-x),
                                   hub_velocity=(0.7, -0.2))
-    fields = ("A", "B", "Bd", "C", "H", "damping", "stiffness", "chol_inv")
+    fields = ("A", "B", "Bd", "C", "H", "damping", "stiffness", "chol")
 
     def run():
         out = []
@@ -236,7 +238,8 @@ def test_project_velocity_energy(params):
 def test_velocity_projects_as_distributed_disturbance():
     # an initial velocity profile is the same load as a distributed
     # disturbance of that shape: x0's velocity block is rho a times its Bd column,
-    # up to rounding (L^{-1} multiplies one load vector here and all of Bw there)
+    # up to Bd's rounding (the explicit L^{-1} multiplies all of Bw there, while
+    # the projection solves against L)
     params = fx.PhysicalParams(rho=2.0, a=1.5, m=3.0, I_m=0.5)
     shape = (0.3, -1.0, 2.0)
     for N in (1, 4, 10, 20):
@@ -247,6 +250,52 @@ def test_velocity_projects_as_distributed_disturbance():
             want = params.rho_a * ss.Bd[2 * N :, col]
             assert np.max(np.abs(got[2 * N :] - want)) < 1e-12 * np.max(np.abs(want)), (N, col)
             assert not got[: 2 * N].any()
+
+
+def _forward_substitution(L, b, dps=50):
+    """Solution of L x = b in mpmath at dps digits, rounded to double at the end."""
+    with mpmath.workdps(dps):
+        x = []
+        for i in range(len(b)):
+            acc = mpmath.mpf(b[i]) - mpmath.fsum(mpmath.mpf(L[i, j]) * x[j] for j in range(i))
+            x.append(acc / mpmath.mpf(L[i, i]))
+        return np.array([float(v) for v in x])
+
+
+@pytest.mark.parametrize("N", [20, 40])
+def test_velocity_projection_is_an_accurate_solve(params, N):
+    # the velocity block solves L x = b for the momentum load b; multiplying b
+    # by an explicit L^{-1} misses this bound (2.1e-12 at N = 20, 9.5e-12 at N = 40)
+    profiles = fx.InitialProfiles(left_velocity=lambda x: np.sin(2.0 * x), right_velocity=(0.3, 0.0, -1.0),
+                                  hub_velocity=(0.7, -0.2))
+    ss = fx.assemble(params, N)
+    b = np.zeros(2 * N + 2)
+    for i, _, xi, w, V in discretize._panels(ss.basis_left, ss.basis_right):
+        shape = discretize._as_profile((profiles.left_velocity, profiles.right_velocity)[i])
+        b += params.rho_a * V @ (w * shape(xi))
+    b[:2] += params.m * profiles.hub_velocity[0], params.I_m * profiles.hub_velocity[1]
+    want = _forward_substitution(ss.chol, b)
+    got = fx.project_initial_state(profiles, ss)[2 * N :]
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("N", [1, 4, 10, 20, 40, 80])
+def test_realization_matches_reference_triangular_solve(params, N):
+    # BLAS trsm forms the same L^{-1} as scipy's solve_triangular, bit for bit
+    ss = fx.assemble(params, N)
+    W_ref = sla.solve_triangular(ss.chol, np.eye(2 * N + 2), lower=True)
+    assert np.array_equal(ss.B[2 * N :], W_ref[:, :2])
+    assert np.array_equal(ss.C[:, 2 * N :], W_ref[:, :2].T)
+    assert np.array_equal(ss.A[: 2 * N, 2 * N :], (W_ref[:, 2:] * np.sqrt(ss.stiffness)).T)
+
+
+def test_assembly_does_not_call_solve_triangular(params, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("assemble called scipy.linalg.solve_triangular")
+
+    monkeypatch.setattr(sla, "solve_triangular", refuse)
+    ss = fx.assemble(params, 10)
+    assert np.array_equal(ss.H @ ss.B, ss.C.T)
 
 
 def test_hub_velocity_enters_through_actuator_columns():

@@ -236,10 +236,10 @@ def test_integrate_zero_inputs_zero_state(passive_loop):
     assert np.max(trace.energy) == 0.0
 
 
-def test_integrate_autonomous_energy_decay(ss10, default_config):
+def test_integrate_autonomous_energy_decay(ss10, default_config, plant_only_ctrl):
     # plant alone, no inputs: energy is nonincreasing and strictly smaller at
     # the end (exponential stability of the assembled model)
-    cl = fx.assemble_closed_loop(ss10, fx.zero_controller())
+    cl = fx.assemble_closed_loop(ss10, plant_only_ctrl)
     x0 = fx.project_initial_state(default_config.initial_profiles(), ss10)
     yref = fx.SignalSpec.create((), np.zeros(2))
     wd = fx.SignalSpec.create((), np.zeros(4))
@@ -290,10 +290,10 @@ def test_integrate_validates_inputs(passive_loop):
         fx.integrate(passive_loop, np.zeros(3), yref, wd, 1.0, 0.01)
 
 
-def test_energy_balance_forced_run(ss10, default_config):
+def test_energy_balance_forced_run(ss10, default_config, plant_only_ctrl):
     # inject sinusoidal forces through the hub disturbance channels and close
     # the discrete energy balance: E(T) - E(0) = int u.y - int v.D v
-    cl = fx.assemble_closed_loop(ss10, fx.zero_controller())
+    cl = fx.assemble_closed_loop(ss10, plant_only_ctrl)
     yref = fx.SignalSpec.create((1.0, 2.0), np.zeros(2))
     wd = fx.SignalSpec.create(
         (1.0, 2.0),

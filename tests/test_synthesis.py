@@ -320,8 +320,8 @@ def test_closed_loop_dimensions(passive_loop, ss10):
     assert np.array_equal(passive_loop.Be[:n, :4], ss10.Bd)
 
 
-def test_zero_controller_loop(ss10):
-    cl = fx.assemble_closed_loop(ss10, fx.zero_controller())
+def test_zero_controller_loop(ss10, plant_only_ctrl):
+    cl = fx.assemble_closed_loop(ss10, plant_only_ctrl)
     assert np.array_equal(cl.Ae, ss10.A)
     w = 1.3
     G = cl.Ce @ np.linalg.solve(1j * w * np.eye(cl.n) - cl.Ae, cl.Be) + cl.De
