@@ -32,9 +32,9 @@ from .synthesis import (
 def resolvent_norm_scan(ss: LinearStateSpace, omegas) -> np.ndarray:
     """||(i w I - A)^{-1}||_2 over a frequency grid.
 
-    Computed as the reciprocal smallest singular value of i w I - A; since H
-    is the identity in the assembled coordinates this is the energy-norm
-    resolvent of the discretized dynamics.
+    Computed as the reciprocal smallest singular value of i w I - A; since the
+    plant state is in energy coordinates this is the energy-norm resolvent of
+    the discretized dynamics.
     """
     if ss.margin <= 0.0:
         raise RuntimeError("resolvent scan requires an exponentially stable system")
@@ -108,11 +108,13 @@ def validation_checks(cfg: RunConfig):
     p = cfg.physical()
     ss = plant_from_config(cfg)
 
-    coll = float(np.abs(ss.H @ ss.B - ss.C.T).max())
+    # the row names keep the energy weight H, which is the identity in the plant's coordinates
+    coll = float(np.abs(ss.B - ss.C.T).max())
     yield Check("collocation_HB_eq_CT", "pass" if coll <= 1e-12 else "fail", coll,
                 f"max|HB - C^T| = {coll:.3e}")
 
-    sym = ss.A.T @ ss.H + ss.H @ ss.A
+    # + 0.0 turns -0.0 into +0.0, so an undamped plant's zero eigenvalue prints unsigned
+    sym = ss.A.T + ss.A + 0.0
     target = np.zeros_like(sym)
     nb = 2 * ss.n_basis
     target[nb:, nb:] = -2.0 * ss.damping
@@ -123,8 +125,7 @@ def validation_checks(cfg: RunConfig):
     if p.gamma == 0.0:
         yield Check("dissipativity", "pass" if top <= 1e-10 else "fail", top, f"top eigenvalue = {top:.3e}")
     else:
-        # the elastic block of A^T H + H A is exactly zero; strict dissipation
-        # lives on the velocity block
+        # A^T + A is zero on the elastic block; strict dissipation lives on the velocity block
         vel_top = float(np.max(np.linalg.eigvalsh(0.5 * (sym + sym.T)[nb:, nb:])))
         ok = top <= 1e-10 and vel_top < 0.0
         yield Check("dissipativity", "pass" if ok else "fail", vel_top,

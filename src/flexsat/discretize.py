@@ -18,14 +18,14 @@ the rigid displacements they drop out of the state, which is
 
     x = (sqrt(k_e) * eta coefficients,  L^T qd),      M = L L^T,
 
-of dimension 4N + 2.  In these coordinates the energy weight is exactly the
-identity (the state 2-norm squared is twice the mechanical energy), the
-collocation identity H B = C^T holds bit-exactly, and A^T H + H A equals
--blockdiag(0, 2 * damping) bit-exactly.  The plant keeps the Cholesky factor
-L itself, not its inverse.  Initial data reuse the same Gauss rule and shape
-rows: an initial velocity profile is projected as the load a distributed
-disturbance of that shape puts on B_w, a hub velocity enters through the
-actuator columns, and the velocity block is that load solved against L.
+of dimension 4N + 2.  These are energy coordinates: the mechanical energy is
+exactly 0.5 * ||x||^2, so no energy weight is stored, the collocation identity
+B = C^T holds bit-exactly, and A^T + A equals -blockdiag(0, 2 * damping)
+bit-exactly.  The plant keeps the Cholesky factor L itself, not its inverse.
+Initial data reuse the same Gauss rule and shape rows: an initial velocity
+profile is projected as the load a distributed disturbance of that shape puts
+on B_w, a hub velocity enters through the actuator columns, and the velocity
+block is that load solved against L.
 """
 
 from dataclasses import dataclass
@@ -101,19 +101,17 @@ def _panels(basis_l: BeamBasis, basis_r: BeamBasis):
 
 @dataclass(frozen=True, eq=False)
 class LinearStateSpace:
-    """Finite state-space realization (A, B, Bd, C) with energy weight H.
+    """Finite state-space realization (A, B, Bd, C) in energy coordinates.
 
     State ordering: 2N elastic coordinates (stiffness-normalized Legendre
     coefficients, left panel then right), then 2N + 2 velocity coordinates
-    (Cholesky-transformed generalized velocities).  H is the identity in
-    these coordinates; the plant energy is 0.5 * x.T @ H @ x.
+    (Cholesky-transformed generalized velocities).
     """
 
     A: np.ndarray
     B: np.ndarray
     Bd: np.ndarray
     C: np.ndarray
-    H: np.ndarray
     n: int
     n_basis: int
     params: PhysicalParams
@@ -126,7 +124,7 @@ class LinearStateSpace:
     def energy(self, x: np.ndarray) -> float:
         """Mechanical energy of a plant state (elastic plus kinetic)."""
         x = np.asarray(x, dtype=float)
-        return 0.5 * float(x @ self.H @ x)
+        return 0.5 * float(x @ x)
 
     @cached_property
     def margin(self) -> float:
@@ -205,7 +203,6 @@ def assemble(p: PhysicalParams, N: int, bd_profiles=((1.0,), (1.0,))) -> LinearS
         B=B,
         Bd=Bd,
         C=C,
-        H=np.eye(n),
         n=n,
         n_basis=N,
         params=p,

@@ -261,7 +261,7 @@ def integrate(
     C = np.vstack([np.eye(n, A_aug.shape[0]), error_map, control_map])
     t, ys = propagate_autonomous(A_aug, x0_aug, T, dt, C)
     xp = ys[:, :n]
-    energy = 0.5 * np.einsum("ij,ij->i", xp, xp)  # the plant's energy Gram H is the identity
+    energy = 0.5 * np.einsum("ij,ij->i", xp, xp)  # the plant state is in energy coordinates
     return SimulationTrace(t=t, y=xp @ cl.plant.C.T, e=ys[:, n : n + 2], u=ys[:, n + 2 :], energy=energy)
 
 

@@ -43,6 +43,16 @@ def test_validate_undamped_warns_but_passes(tmp_path, capsys):
     assert "fail" not in out
 
 
+def test_validate_undamped_zero_eigenvalue_prints_unsigned(tmp_path, capsys):
+    # at gamma = 0 every entry of A^T + A is zero, and A's velocity block is -0.0;
+    # the dissipativity row must still read a plain zero, not -0.000e+00
+    path, _ = write_config(tmp_path, load_config(REFERENCE_INI), gamma=0.0, n_basis=4)
+    rc = cli.main(["--config", str(path), "validate"])
+    rows = {line.split()[1]: line for line in capsys.readouterr().out.splitlines()}
+    assert rc == 0
+    assert rows["dissipativity"].endswith("  top eigenvalue = 0.000e+00")
+
+
 @pytest.mark.parametrize("kind", ["passive", "observer"])
 def test_validate_solves_sylvester_and_care_once(tmp_path, monkeypatch, capsys, kind):
     from flexsat import analysis, synthesis

@@ -73,7 +73,7 @@ def test_assembly_with_series_basis_is_bit_identical(params, monkeypatch):
     profiles = fx.InitialProfiles(left_velocity=lambda x: np.sin(2.0 * x), right_velocity=(0.3, 0.0, -1.0),
                                   left_moment=(1.0, 2.0, 0.0, -4.0), right_moment=lambda x: np.exp(-x),
                                   hub_velocity=(0.7, -0.2))
-    fields = ("A", "B", "Bd", "C", "H", "damping", "stiffness", "chol")
+    fields = ("A", "B", "Bd", "C", "damping", "stiffness", "chol")
 
     def run():
         out = []
@@ -104,11 +104,11 @@ def test_state_dimension(params):
 
 
 def test_collocation_identity_exact(ss10):
-    assert np.array_equal(ss10.H @ ss10.B, ss10.C.T)
+    assert np.array_equal(ss10.B, ss10.C.T)
 
 
 def test_dissipation_identity_exact(ss10):
-    sym = ss10.A.T @ ss10.H + ss10.H @ ss10.A
+    sym = ss10.A.T + ss10.A
     target = np.zeros_like(sym)
     nb = 2 * ss10.n_basis
     target[nb:, nb:] = -2.0 * ss10.damping
@@ -132,15 +132,15 @@ def _log_uniform(lo, hi):
 )
 def test_structural_invariants_exact_across_parameters(p, N):
     ss = fx.assemble(p, N)
-    assert np.array_equal(ss.H @ ss.B, ss.C.T)
-    sym = ss.A.T @ ss.H + ss.H @ ss.A
+    assert np.array_equal(ss.B, ss.C.T)
+    sym = ss.A.T + ss.A
     target = np.zeros_like(sym)
     target[2 * N:, 2 * N:] = -2.0 * ss.damping
     assert np.array_equal(sym, target)
 
 
 def test_dissipation_semidefinite(ss10):
-    sym = ss10.A.T @ ss10.H + ss10.H @ ss10.A
+    sym = ss10.A.T + ss10.A
     top = np.max(np.linalg.eigvalsh(0.5 * (sym + sym.T)))
     assert top <= 1e-10
     nb = 2 * ss10.n_basis
@@ -151,7 +151,7 @@ def test_dissipation_semidefinite(ss10):
 def test_undamped_assembly_is_conservative():
     p0 = fx.PhysicalParams(gamma=0.0)
     ss = fx.assemble(p0, 8)
-    sym = ss.A.T @ ss.H + ss.H @ ss.A
+    sym = ss.A.T + ss.A
     assert np.array_equal(sym, np.zeros_like(sym))
 
 
@@ -216,6 +216,7 @@ def test_project_moment_energy(ss10):
     )
     x0 = fx.project_initial_state(prof, ss10)
     assert ss10.energy(x0) == pytest.approx(3.2, abs=1e-12)
+    assert ss10.energy(x0) == 0.5 * float(x0 @ x0)  # energy coordinates, bit for bit
 
 
 def test_project_velocity_energy(params):
@@ -295,7 +296,7 @@ def test_assembly_does_not_call_solve_triangular(params, monkeypatch):
 
     monkeypatch.setattr(sla, "solve_triangular", refuse)
     ss = fx.assemble(params, 10)
-    assert np.array_equal(ss.H @ ss.B, ss.C.T)
+    assert np.array_equal(ss.B, ss.C.T)
 
 
 def test_hub_velocity_enters_through_actuator_columns():
