@@ -159,15 +159,13 @@ class RunConfig:
         )
 
     def initial_profiles(self) -> InitialProfiles:
-        if self.initial_profile == "zero":
-            return InitialProfiles()
         if self.initial_profile == "parabolic_moment":
             # panels at rest with parabolic initial bending moments 4(1 +- xi)^2
             return InitialProfiles(
                 left_moment=lambda x: 4.0 * (1.0 + x) ** 2,
                 right_moment=lambda x: 4.0 * (1.0 - x) ** 2,
             )
-        return InitialProfiles(  # an empty coefficient list is a zero profile
+        return InitialProfiles(  # empty coefficient lists, as the zero preset has, give zero profiles
             left_velocity=self.left_velocity or None,
             right_velocity=self.right_velocity or None,
             left_moment=self.left_moment or None,

@@ -28,35 +28,19 @@ CARE_RESIDUAL_RTOL = 1e-8
 SYLVESTER_RESIDUAL_RTOL = 1e-8
 
 
-def _validate_freqs(freqs) -> np.ndarray:
-    freqs = np.asarray(freqs, dtype=float)
-    if freqs.ndim != 1 or freqs.size == 0:
-        raise ValueError("frequency list must be a nonempty 1-D sequence")
-    if np.any(freqs < 0.0):
-        raise ValueError("frequencies must be nonnegative (conjugates are implicit)")
-    if np.any(np.diff(freqs) <= 0.0):
-        raise ValueError("frequencies must be strictly increasing (duplicates rejected)")
-    return freqs
-
-
-def signed_frequencies(freqs) -> list[float]:
-    """Signed frequency list -w_q .. -w_1, [0,] w_1 .. w_q."""
-    freqs = _validate_freqs(freqs)
-    pos = [f for f in freqs if f > 0.0]
-    out = [-f for f in reversed(pos)]
-    if freqs[0] == 0.0:
-        out.append(0.0)
-    out.extend(pos)
-    return out
+_ROTATION = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(2))  # [[0, I2], [-I2, 0]]
 
 
 @dataclass(frozen=True, eq=False)
 class InternalModel:
     """Real block realization of the tracked-signal generator.
 
-    G1 is block diagonal: a 2x2 zero block when 0 is tracked, and one
-    rotation block [[0, w I2], [-w I2, 0]] per positive frequency.  The
-    spectrum is {0} plus {+-i w_k}, each with multiplicity 2.
+    blocks holds one (frequency, slice) per tracked frequency, in increasing
+    order: a 2-row zero block slice(k, k+2) when 0 is tracked, and a 4-row
+    rotation block slice(k, k+4) per positive w, on which G1 is
+    [[0, w I2], [-w I2, 0]].  Each row pair carries the two output channels,
+    and a zero block's leading and trailing row pairs coincide.  The spectrum
+    is {0} plus {+-i w_k}, each with multiplicity 2.
     """
 
     G1: np.ndarray
@@ -66,23 +50,23 @@ class InternalModel:
 
 def internal_model(freqs) -> InternalModel:
     """Rotation-block internal model for the given nonnegative frequencies."""
-    freqs = _validate_freqs(freqs)
-    has_zero = freqs[0] == 0.0
-    pos = [float(f) for f in freqs if f > 0.0]
-    dim = (2 if has_zero else 0) + 4 * len(pos)
-    G1 = np.zeros((dim, dim))
-    blocks = []
-    pos_idx = 0
-    if has_zero:
-        blocks.append((0.0, slice(0, 2)))
-        pos_idx = 2
-    for f in pos:
-        sl = slice(pos_idx, pos_idx + 4)
-        G1[sl.start : sl.start + 2, sl.start + 2 : sl.stop] = f * np.eye(2)
-        G1[sl.start + 2 : sl.stop, sl.start : sl.start + 2] = -f * np.eye(2)
-        blocks.append((f, sl))
-        pos_idx += 4
-    return InternalModel(G1=G1, blocks=tuple(blocks), dim=dim)
+    freqs = np.asarray(freqs, dtype=float) + 0.0  # + 0.0 reads a -0.0 entry as 0.0
+    if freqs.ndim != 1 or freqs.size == 0:
+        raise ValueError("frequency list must be a nonempty 1-D sequence")
+    if np.any(freqs < 0.0):
+        raise ValueError("frequencies must be nonnegative (conjugates are implicit)")
+    if np.any(np.diff(freqs) <= 0.0):
+        raise ValueError("frequencies must be strictly increasing (duplicates rejected)")
+    blocks, k = [], 0
+    for f in freqs.tolist():
+        size = 4 if f else 2
+        blocks.append((f, slice(k, k + size)))
+        k += size
+    G1 = np.zeros((k, k))
+    for f, sl in blocks:
+        if f:  # a zero block of G1 stays zero
+            G1[sl, sl] = f * _ROTATION
+    return InternalModel(G1=G1, blocks=tuple(blocks), dim=k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,10 +110,7 @@ def build_passive_controller(freqs, c1: float, c2: float) -> ControllerRealizati
     im = internal_model(freqs)
     G2 = np.zeros((im.dim, 2))
     for f, sl in im.blocks:
-        if f == 0.0:
-            G2[sl.start : sl.start + 2] = -np.eye(2)
-        else:
-            G2[sl.start : sl.start + 2] = -c1 * np.eye(2)
+        G2[sl.start : sl.start + 2] = -(c1 if f else 1.0) * np.eye(2)
     return ControllerRealization(G1=im.G1, G2=G2, K=-G2.T, kappa=c2 * np.eye(2))
 
 
@@ -138,10 +119,7 @@ def _observer_G2(im: InternalModel) -> np.ndarray:
     sqrt(2) I on the trailing half of each rotation block."""
     G2 = np.zeros((im.dim, 2))
     for f, sl in im.blocks:
-        if f == 0.0:
-            G2[sl] = np.eye(2)
-        else:
-            G2[sl.start + 2 : sl.stop] = np.sqrt(2.0) * np.eye(2)
+        G2[sl.stop - 2 : sl.stop] = (np.sqrt(2.0) if f else 1.0) * np.eye(2)
     return G2
 
 
@@ -162,7 +140,7 @@ def solve_sylvester_H(ss: LinearStateSpace, freqs) -> tuple[np.ndarray, float]:
     s2 = np.sqrt(2.0)
     for f, sl in im.blocks:
         R = shifted_solve(ss.A.T, f, ss.C.T).T
-        H[sl] = R.real if f == 0.0 else np.vstack([s2 * R.imag, s2 * R.real])
+        H[sl] = np.vstack([s2 * R.imag, s2 * R.real]) if f else R.real
     residual = sylvester_residual(ss, freqs, H)
     if residual > SYLVESTER_RESIDUAL_RTOL:
         worst = max(np.linalg.cond(1j * f * np.eye(ss.n) - ss.A) for f, _ in im.blocks)
@@ -343,8 +321,9 @@ def regulation_zero_check(cl: ClosedLoopSystem, freqs) -> dict:
     """
     if cl.margin <= 0.0:
         raise RuntimeError(f"closed loop is not stable (stability margin {cl.margin:.3e})")
+    tracked = [f for f, _ in internal_model(freqs).blocks]
     out = {}
-    for w in signed_frequencies(freqs):
+    for w in [-f for f in reversed(tracked) if f] + tracked:
         G = cl.Ce @ shifted_solve(cl.Ae, w, cl.Be) + cl.De
         out[w] = float(np.linalg.norm(G, 2))
     return out

@@ -1,10 +1,13 @@
-"""The package metadata declares what the test suite imports."""
+"""The package metadata declares what the test suite imports and the console script it installs."""
 
 import ast
+import importlib.metadata
 import pathlib
 import re
 import sys
 import tomllib
+
+from flexsat import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -34,3 +37,10 @@ def test_test_imports_are_declared():
         for path in sorted((ROOT / "tests").glob("*.py"))
     }
     assert {name: mods for name, mods in undeclared.items() if mods} == {}
+
+
+def test_console_script_resolves_to_cli_main():
+    # the `flexsat` script that `pip install` writes loads this entry point
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]["scripts"]
+    main = importlib.metadata.EntryPoint("flexsat", scripts["flexsat"], "console_scripts").load()
+    assert main is cli.main and callable(main)

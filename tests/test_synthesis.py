@@ -14,7 +14,6 @@ from flexsat.synthesis import (
     CARE_RESIDUAL_RTOL,
     SYLVESTER_RESIDUAL_RTOL,
     care_residual,
-    signed_frequencies,
     sylvester_residual,
 )
 from conftest import FREQS
@@ -27,8 +26,40 @@ def test_internal_model_structure():
     im = fx.internal_model(FREQS)
     assert im.dim == 14
     eigs = np.sort_complex(np.linalg.eigvals(im.G1))
-    want = np.sort_complex([1j * w for w in signed_frequencies(FREQS) for _ in range(2)])
+    want = np.sort_complex([1j * w for w in (-5.0, -2.0, -1.0, 0.0, 1.0, 2.0, 5.0) for _ in range(2)])
     assert np.max(np.abs(eigs - want)) < 1e-12
+
+
+_I2, _O2 = np.eye(2), np.zeros((2, 2))
+_ROT = np.block([[_O2, _I2], [-_I2, _O2]])
+_S2 = np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("freqs, blocks, G1, passive_G2, observer_G2, signed", [
+    ((1.0, 3.0), ((1.0, slice(0, 4)), (3.0, slice(4, 8))),
+     np.block([[_ROT, np.zeros((4, 4))], [np.zeros((4, 4)), 3.0 * _ROT]]),
+     np.vstack([-2.5 * _I2, _O2, -2.5 * _I2, _O2]),
+     np.vstack([_O2, _S2 * _I2, _O2, _S2 * _I2]),
+     [-3.0, -1.0, 1.0, 3.0]),
+    ((0.0,), ((0.0, slice(0, 2)),), _O2, -_I2, _I2, [0.0]),
+    ((0.0, 1.0), ((0.0, slice(0, 2)), (1.0, slice(2, 6))),
+     np.block([[_O2, np.zeros((2, 4))], [np.zeros((4, 2)), _ROT]]),
+     np.vstack([-_I2, -2.5 * _I2, _O2]),
+     np.vstack([_I2, _O2, _S2 * _I2]),
+     [-1.0, 0.0, 1.0]),
+])
+def test_layout_off_the_reference_list(ss10, freqs, blocks, G1, passive_G2, observer_G2, signed):
+    # a zero block is 2 rows and a rotation block 4; the passive error input
+    # sits on each block's leading row pair, the observer's on its trailing pair
+    im = fx.internal_model(freqs)
+    assert im.blocks == blocks and im.dim == G1.shape[0]
+    assert np.array_equal(im.G1, G1)
+    passive = fx.build_passive_controller(freqs, 2.5, 4.0)
+    assert np.array_equal(passive.G2, passive_G2)
+    observer = fx.build_observer_controller(ss10, freqs, 10.0, 0.1)
+    assert np.array_equal(observer.G2[:im.dim], observer_G2)
+    zeros = fx.regulation_zero_check(fx.assemble_closed_loop(ss10, passive), freqs)
+    assert list(zeros) == signed and max(zeros.values()) < 1e-8
 
 
 def test_internal_model_rejects_bad_freqs():
