@@ -80,14 +80,8 @@ def controller_from_config(cfg: RunConfig, ss: LinearStateSpace, H=None) -> Cont
     return build_observer_controller(ss, cfg.frequencies, cfg.q0, cfg.r0, H)
 
 
-def initial_state_from_config(cfg: RunConfig, cl: ClosedLoopSystem) -> np.ndarray:
-    """Projected plant initial state extended with a zero controller state."""
-    x0_plant = project_initial_state(cfg.initial_profiles(), cl.plant)
-    return np.concatenate([x0_plant, np.zeros(cl.controller.n_c)])
-
-
 def simulate_from_config(cfg: RunConfig, cl: ClosedLoopSystem) -> SimulationTrace:
-    x0 = initial_state_from_config(cfg, cl)
+    x0 = project_initial_state(cfg.initial_profiles(), cl.plant)
     return integrate(cl, x0, cfg.yref_spec(), cfg.wd_spec(), cfg.t_final, cfg.dt)
 
 
@@ -233,8 +227,7 @@ def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
             cl = assemble_closed_loop(ss, ctrl)
             if cl.margin <= 0.0:
                 return np.nan, np.nan, False
-            x0 = np.concatenate([x0_plant, np.zeros(ctrl.n_c)])
-            t, e = tracking_error(cl, x0, yref, wd, cfg.t_final, cfg.dt)
+            t, e = tracking_error(cl, x0_plant, yref, wd, cfg.t_final, cfg.dt)
             return cl.margin, integrated_square_error(t, e), True
         except (RuntimeError, ValueError):
             return np.nan, np.nan, False

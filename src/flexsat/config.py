@@ -15,6 +15,7 @@ reparses to an identical value.  default_sweep_grid builds every sweep grid.
 import configparser
 import io
 import math
+import re
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -136,6 +137,9 @@ class RunConfig:
             raise ConfigError("workers must be >= 0")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.out_dir != self.out_dir.strip() or re.search(r"[\n\r]|(^|\s)#", self.out_dir):
+            raise ConfigError(f"output directory {self.out_dir!r} would not read back from the manifest: "
+                              "no edge whitespace, line break, or '#' at the start or after whitespace")
 
     # --- resolved objects ---
 

@@ -220,19 +220,19 @@ def _exosystem(yref: SignalSpec, wd: SignalSpec):
 
 
 def _augment(cl: ClosedLoopSystem, x0: np.ndarray, yref: SignalSpec, wd: SignalSpec) -> tuple:
-    """The closed loop with the signal generator appended: (A_aug, initial state, E)."""
+    """The closed loop with the signal generator appended: (A_aug, initial state, error map [Ce, De E]).
+
+    ``x0`` is the plant's initial state; the controller starts at rest.
+    """
     if yref.dim != 2 or wd.dim != 4:
         raise ValueError("reference must have 2 channels and disturbance 4")
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (cl.n,):
-        raise ValueError(f"initial state must have length {cl.n}, got {x0.shape}")
+    if x0.shape != (cl.plant.n,):
+        raise ValueError(f"initial plant state must have length {cl.plant.n}, got {x0.shape}")
     S, v0, E = _exosystem(yref, wd)
-    ne, nw = cl.n, S.shape[0]
-    A_aug = np.zeros((ne + nw, ne + nw))
-    A_aug[:ne, :ne] = cl.Ae
-    A_aug[:ne, ne:] = cl.Be @ E
-    A_aug[ne:, ne:] = S
-    return A_aug, np.concatenate([x0, v0]), E
+    A_aug = np.block([[cl.Ae, cl.Be @ E], [np.zeros((S.shape[0], cl.n)), S]])
+    x0_aug = np.concatenate([x0, np.zeros(cl.controller.n_c), v0])
+    return A_aug, x0_aug, np.hstack([cl.Ce, cl.De @ E])
 
 
 def integrate(
@@ -243,18 +243,13 @@ def integrate(
     T: float,
     dt: float,
 ) -> SimulationTrace:
-    """Integrate the closed loop exactly on a uniform grid.
+    """Integrate the closed loop from plant state x0, the controller at rest, exactly on a uniform grid.
 
-    The exogenous generator is appended to the closed-loop state and the
-    combined autonomous system is stepped with a single precomputed matrix
-    exponential; the scheme is exact at the grid points.  Only the rows the
-    trace reads are propagated: the plant state (for y and the energy), the
-    error map [Ce, De E] and the control map.  ``x0`` is the extended initial
-    state (plant then controller).
+    Only the rows the trace reads are propagated (propagate_autonomous): the
+    plant state (for y and the energy), the error map and the control map.
     """
-    A_aug, x0_aug, E = _augment(cl, x0, yref, wd)
+    A_aug, x0_aug, error_map = _augment(cl, x0, yref, wd)
     n = cl.plant.n
-    error_map = np.hstack([cl.Ce, cl.De @ E])
     control_map = np.zeros_like(error_map)  # u = K z - kappa e
     control_map[:, n : cl.n] = cl.controller.K
     control_map -= cl.controller.kappa @ error_map
@@ -274,8 +269,8 @@ def tracking_error(
     dt: float,
 ) -> tuple:
     """Grid times and tracking error e of integrate's run, propagating only e's two rows."""
-    A_aug, x0_aug, E = _augment(cl, x0, yref, wd)
-    return propagate_autonomous(A_aug, x0_aug, T, dt, np.hstack([cl.Ce, cl.De @ E]))
+    A_aug, x0_aug, error_map = _augment(cl, x0, yref, wd)
+    return propagate_autonomous(A_aug, x0_aug, T, dt, error_map)
 
 
 def integrated_square_error(t: np.ndarray, e: np.ndarray) -> float:

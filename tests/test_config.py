@@ -163,6 +163,17 @@ def test_percent_in_a_value_is_literal():
     assert parse_config("[output]\ndirectory = a%%b\n").out_dir == "a%%b"
 
 
+def test_output_directory_must_read_back_from_the_manifest():
+    # the INI reader strips a value, ends it at a line break and cuts a '#' comment
+    # that opens the value or follows whitespace; such a directory is refused
+    for out_dir in (" out", "\tout", "out\r", "a #b", "a\t#b", "#x", "x\ny"):
+        with pytest.raises(ConfigError, match="output directory"):
+            RunConfig(out_dir=out_dir)
+    for out_dir in ("a#b", "a;b", "runs/100%"):
+        cfg = RunConfig(out_dir=out_dir)
+        assert parse_config(config_to_ini(cfg)) == cfg
+
+
 def test_default_section_is_refused():
     for text in ("[DEFAULT]\nrho = 2\n", "[DEFAULT]\nrho = 2\n[controller]\nc1 = 3\n"):
         with pytest.raises(ConfigError, match=r"unknown config section \[DEFAULT\]"):

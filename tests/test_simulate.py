@@ -207,7 +207,7 @@ def test_propagate_blocked_matches_step_loop(steps):
 
 def augmented_loop(cl, cfg):
     """Closed loop with the configured signal generator appended, and its initial state."""
-    x0 = analysis.initial_state_from_config(cfg, cl)
+    x0 = fx.project_initial_state(cfg.initial_profiles(), cl.plant)
     return _augment(cl, x0, cfg.yref_spec(), cfg.wd_spec())[:2]
 
 
@@ -229,7 +229,7 @@ def test_propagate_reference_loops_match_step_loop(default_config, passive_loop)
 def test_integrate_zero_inputs_zero_state(passive_loop):
     yref = fx.SignalSpec.create((1.0, 2.0, 5.0), np.zeros(2))
     wd = fx.SignalSpec.create((1.0, 2.0, 5.0), np.zeros(4))
-    trace = fx.integrate(passive_loop, np.zeros(passive_loop.n), yref, wd, 1.0, 0.01)
+    trace = fx.integrate(passive_loop, np.zeros(passive_loop.plant.n), yref, wd, 1.0, 0.01)
     assert np.max(np.abs(trace.y)) == 0.0
     assert np.max(np.abs(trace.e)) == 0.0
     assert np.max(np.abs(trace.u)) == 0.0
@@ -252,9 +252,7 @@ def test_integrate_autonomous_energy_decay(ss10, default_config, plant_only_ctrl
 
 
 def test_integrate_grid_invariance(passive_loop, default_config):
-    from flexsat import analysis
-
-    x0 = analysis.initial_state_from_config(default_config, passive_loop)
+    x0 = fx.project_initial_state(default_config.initial_profiles(), passive_loop.plant)
     yref = default_config.yref_spec()
     wd = default_config.wd_spec()
     tr1 = fx.integrate(passive_loop, x0, yref, wd, 3.0, 0.01)
@@ -270,7 +268,8 @@ def test_halving_dt_does_not_move_the_samples(kind, N):
     cfg = RunConfig(controller_kind=kind, n_basis=N, t_final=5.0)
     ss = analysis.plant_from_config(cfg)
     cl = fx.assemble_closed_loop(ss, analysis.controller_from_config(cfg, ss))
-    args = (cl, analysis.initial_state_from_config(cfg, cl), cfg.yref_spec(), cfg.wd_spec(), cfg.t_final)
+    x0 = fx.project_initial_state(cfg.initial_profiles(), ss)
+    args = (cl, x0, cfg.yref_spec(), cfg.wd_spec(), cfg.t_final)
     t, e = simulate.tracking_error(*args, cfg.dt)
     t_fine, e_fine = simulate.tracking_error(*args, cfg.dt / 2)
     assert np.array_equal(t, t_fine[::2])
@@ -281,13 +280,32 @@ def test_integrate_validates_inputs(passive_loop):
     yref = fx.SignalSpec.create((1.0,), np.zeros(2))
     wd_wrong = fx.SignalSpec.create((2.0,), np.zeros(4))
     with pytest.raises(ValueError):
-        fx.integrate(passive_loop, np.zeros(passive_loop.n), yref, wd_wrong, 1.0, 0.01)
+        fx.integrate(passive_loop, np.zeros(passive_loop.plant.n), yref, wd_wrong, 1.0, 0.01)
     wd3 = fx.SignalSpec.create((1.0,), np.zeros(3))
     with pytest.raises(ValueError):
-        fx.integrate(passive_loop, np.zeros(passive_loop.n), yref, wd3, 1.0, 0.01)
+        fx.integrate(passive_loop, np.zeros(passive_loop.plant.n), yref, wd3, 1.0, 0.01)
     wd = fx.SignalSpec.create((1.0,), np.zeros(4))
     with pytest.raises(ValueError):
         fx.integrate(passive_loop, np.zeros(3), yref, wd, 1.0, 0.01)
+
+
+def test_initial_state_is_the_plant_state(passive_loop, default_config):
+    # the controller starts at rest: _augment appends its zero state and the
+    # generator's, and a loop-length x0 is refused, naming the plant length
+    yref, wd = default_config.yref_spec(), default_config.wd_spec()
+    x0 = fx.project_initial_state(default_config.initial_profiles(), passive_loop.plant)
+    _, x0_aug, error_map = _augment(passive_loop, x0, yref, wd)
+    _, v0, E = _exosystem(yref, wd)
+    assert np.array_equal(x0_aug, np.concatenate([x0, np.zeros(passive_loop.controller.n_c), v0]))
+    assert np.array_equal(error_map, np.hstack([passive_loop.Ce, passive_loop.De @ E]))
+    trace = fx.integrate(passive_loop, x0, yref, wd, 1.0, 0.01)
+    t, e = simulate.tracking_error(passive_loop, x0, yref, wd, 1.0, 0.01)
+    assert np.array_equal(t, trace.t)
+    assert np.max(np.abs(e - trace.e)) <= 1e-12 * np.max(np.abs(e))
+    loop_x0 = np.zeros(passive_loop.n)
+    for run in (fx.integrate, simulate.tracking_error):
+        with pytest.raises(ValueError, match=rf"length {passive_loop.plant.n}, got \({passive_loop.n},\)"):
+            run(passive_loop, loop_x0, yref, wd, 1.0, 0.01)
 
 
 def test_energy_balance_forced_run(ss10, default_config, plant_only_ctrl):
@@ -302,9 +320,10 @@ def test_energy_balance_forced_run(ss10, default_config, plant_only_ctrl):
         sin_coeffs=[[0, 0, 1.0, 0], [0, 0, 0, 0]],
     )
     x0 = fx.project_initial_state(default_config.initial_profiles(), ss10)
+    E = _exosystem(yref, wd)[2]
     residuals = []
     for dt in (0.005, 0.0025):
-        A_aug, x0_aug, E = _augment(cl, x0, yref, wd)
+        A_aug, x0_aug, _ = _augment(cl, x0, yref, wd)
         t, xs = fx.propagate_autonomous(A_aug, x0_aug, 15.0, dt, np.eye(A_aug.shape[0]))
         xp = xs[:, : ss10.n]
         vel = xp[:, 2 * ss10.n_basis :]

@@ -426,6 +426,13 @@ def _scale_factors(factor):
     return st.fixed_dictionaries({name: factor for name in _PHYSICAL})
 
 
+def _symmetric_part(cl):
+    """Ae^T + Ae as its plant block and the largest magnitude outside that block."""
+    sym = cl.Ae.T + cl.Ae
+    n = cl.plant.n
+    return sym[:n, :n], max(np.abs(sym[n:]).max(), np.abs(sym[:n, n:]).max())
+
+
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(factors=_scale_factors(st.floats(-1.5, 1.5).map(math.exp)), N=st.integers(4, 20))
 def test_passive_loop_regulates_across_parameters(factors, N):
@@ -435,6 +442,23 @@ def test_passive_loop_regulates_across_parameters(factors, N):
     cl = fx.assemble_closed_loop(plant, _PASSIVE)
     assert cl.margin > 0.0
     assert max(fx.regulation_zero_check(cl, FREQS).values()) < 1e-8
+    # Ae^T + Ae, the loop's contraction structure: K = -G2^T with B = C^T and a
+    # skew G1 cancel exactly off the plant block, which keeps the plant's
+    # dissipation plus the output feedthrough c2 = 4
+    block, off = _symmetric_part(cl)
+    assert off == 0.0
+    target = -8.0 * plant.C.T @ plant.C
+    target[2 * N :, 2 * N :] -= 2.0 * plant.damping
+    assert np.max(np.abs(block - target)) <= 1e-15 * np.max(np.abs(target))
+
+
+def test_passive_loop_symmetric_part_sees_a_mismatched_gain(ss10):
+    # K = -(1 + 1e-9) G2^T leaves -1e-9 C^T G2^T off the plant block
+    G2 = _PASSIVE.G2
+    mismatched = fx.ControllerRealization(G1=_PASSIVE.G1, G2=G2, K=-(1.0 + 1e-9) * G2.T,
+                                          kappa=_PASSIVE.kappa)
+    _, off = _symmetric_part(fx.assemble_closed_loop(ss10, mismatched))
+    assert off == pytest.approx(1e-9 * np.abs(ss10.C.T @ G2.T).max(), rel=1e-6)
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
