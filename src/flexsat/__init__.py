@@ -30,10 +30,10 @@ from .discretize import (
 from .params import PhysicalParams
 from .simulate import (
     ErrorMetrics,
-    SignalSpec,
+    Exosystem,
     SimulationTrace,
     error_metrics,
-    eval_signal,
+    exosystem,
     integrate,
     matrix_exponential,
     propagate_autonomous,
@@ -78,8 +78,8 @@ __all__ = [
     "ClosedLoopSystem",
     "assemble_closed_loop",
     "regulation_zero_check",
-    "SignalSpec",
-    "eval_signal",
+    "Exosystem",
+    "exosystem",
     "matrix_exponential",
     "propagate_autonomous",
     "integrate",

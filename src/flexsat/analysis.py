@@ -2,8 +2,10 @@
 
 validation_checks yields the model's invariant checks as Check records, one
 per row of ``flexsat validate``, which only prints them.  A margin belongs to
-its system (LinearStateSpace.margin, ClosedLoopSystem.margin);
-stability_margin is re-exported from discretize.
+its system (LinearStateSpace.margin, ClosedLoopSystem.margin), which computes
+it on first use and caches it; stability_margin is re-exported from
+discretize.  Every command and sweep point builds its controller with
+controller_from_config.
 Resolvent norms are sampled along the imaginary axis as the reciprocal
 smallest singular value of the shifted state matrix.  Sweeps vary one
 controller parameter at a time, recording margin and integrated squared
@@ -82,7 +84,7 @@ def controller_from_config(cfg: RunConfig, ss: LinearStateSpace, H=None) -> Cont
 
 def simulate_from_config(cfg: RunConfig, cl: ClosedLoopSystem) -> SimulationTrace:
     x0 = project_initial_state(cfg.initial_profiles(), cl.plant)
-    return integrate(cl, x0, cfg.yref_spec(), cfg.wd_spec(), cfg.t_final, cfg.dt)
+    return integrate(cl, x0, cfg.exosystem(), cfg.t_final, cfg.dt)
 
 
 # --- invariant checks ------------------------------------------------------
@@ -128,8 +130,13 @@ def validation_checks(cfg: RunConfig):
     damped = ss.margin > 1e-8
     if damped:
         yield Check("plant_margin", "pass", ss.margin, f"margin = {ss.margin:.6f}")
-    else:
+    elif p.gamma == 0.0:
         yield Check("plant_margin", "warn", ss.margin, f"margin = {ss.margin:.3e} (undamped configuration?)")
+    else:  # gamma > 0 damps the plant; eig's backward error is about n eps ||A||_2
+        rounding = np.finfo(float).eps * np.linalg.norm(ss.A, 2)
+        why = "within eig's rounding" if abs(ss.margin) <= ss.n * rounding else "too small to pass"
+        yield Check("plant_margin", "warn", ss.margin,
+                    f"eps*||A||_2 = {rounding:.3e}, margin = {ss.margin:.3e} (damped plant, margin {why})")
 
     omegas = [0.5, 1.0, 2.0, 5.0] + ([0.0] if damped else [])
     worst = oracle_error(ss, omegas)
@@ -137,7 +144,8 @@ def validation_checks(cfg: RunConfig):
                 f"max rel error at N={cfg.n_basis} = {worst:.3e}")
 
     if not damped:
-        yield Check("s_matrix_identity", "skip", np.nan, "undamped: zero-frequency theory degenerates")
+        why = "undamped" if p.gamma == 0.0 else "damped plant with too small a margin"
+        yield Check("s_matrix_identity", "skip", np.nan, f"{why}: zero-frequency theory degenerates")
         for name in ("sylvester_residual", "care_residual", "closed_loop_margin", "regulation_zeros"):
             yield Check(name, "skip", np.nan, "requires an exponentially stable plant")
         return
@@ -196,7 +204,7 @@ def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
     finite), else the sweep raises ConfigError before any point runs.
     Unstable closed loops and synthesis failures are flagged in ``stable``
     and carry NaN metrics; the sweep always completes.  Work that depends on
-    the plant and signals alone (initial state, signal specs, observer
+    the plant and signals alone (initial state, exosystem, observer
     Sylvester solution, and with it the plant's cached margin) is done once;
     a point's margin is its loop's ClosedLoopSystem.margin, and a stable point
     integrates ||e||^2 over its tracking error (tracking_error).
@@ -212,7 +220,7 @@ def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
     points = [replace(cfg, **{parameter: float(value)}) for value in grid]
     ss = plant_from_config(cfg)
     x0_plant = project_initial_state(cfg.initial_profiles(), ss)
-    yref, wd = cfg.yref_spec(), cfg.wd_spec()
+    exo = cfg.exosystem()
     H = None
     if cfg.controller_kind == "observer":
         try:
@@ -227,7 +235,7 @@ def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
             cl = assemble_closed_loop(ss, ctrl)
             if cl.margin <= 0.0:
                 return np.nan, np.nan, False
-            t, e = tracking_error(cl, x0_plant, yref, wd, cfg.t_final, cfg.dt)
+            t, e = tracking_error(cl, x0_plant, exo, cfg.t_final, cfg.dt)
             return cl.margin, integrated_square_error(t, e), True
         except (RuntimeError, ValueError):
             return np.nan, np.nan, False

@@ -22,7 +22,7 @@ import numpy as np
 
 from .discretize import InitialProfiles
 from .params import PhysicalParams
-from .simulate import SignalSpec, grid_steps
+from .simulate import Exosystem, exosystem, grid_steps
 from .synthesis import internal_model
 
 
@@ -105,6 +105,7 @@ class RunConfig:
         try:
             self.physical()
             internal_model(self.frequencies)
+            self.exosystem()
             grid_steps(self.t_final, self.dt)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -115,15 +116,10 @@ class RunConfig:
         for name in ("c1", "c2", "q0", "r0"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be positive")
-        if len(self.yref_const) != 2 or len(self.wd_const) != 4 or len(self.hub_velocity) != 2:
-            raise ConfigError("yref offset needs 2 entries, wd offset 4 and hub_velocity 2")
+        if len(self.hub_velocity) != 2:
+            raise ConfigError(f"hub_velocity needs 2 entries, got {len(self.hub_velocity)}")
         if 0.0 not in self.frequencies and any(self.yref_const + self.wd_const):
             raise ConfigError("a nonzero yref_const or wd_const needs 0 in frequencies to be tracked")
-        for name, spec in (("yref", self.yref_spec), ("wd", self.wd_spec)):
-            try:
-                spec()
-            except ValueError as exc:
-                raise ConfigError(f"{name}: {exc}") from exc
         if self.initial_profile not in INITIAL_PROFILE_PRESETS:
             raise ConfigError(f"initial profile must be one of {INITIAL_PROFILE_PRESETS}")
         profiles = (self.left_velocity, self.right_velocity, self.left_moment, self.right_moment)
@@ -152,15 +148,9 @@ class RunConfig:
     def positive_frequencies(self) -> tuple:
         return tuple(f for f in self.frequencies if f > 0.0)
 
-    def yref_spec(self) -> SignalSpec:
-        return SignalSpec.create(
-            self.positive_frequencies(), self.yref_const, self.yref_cos, self.yref_sin
-        )
-
-    def wd_spec(self) -> SignalSpec:
-        return SignalSpec.create(
-            self.positive_frequencies(), self.wd_const, self.wd_cos, self.wd_sin
-        )
+    def exosystem(self) -> Exosystem:
+        return exosystem(self.positive_frequencies(), self.yref_const, self.wd_const,
+                         self.yref_cos, self.yref_sin, self.wd_cos, self.wd_sin)
 
     def initial_profiles(self) -> InitialProfiles:
         if self.initial_profile == "parabolic_moment":

@@ -1,14 +1,16 @@
-"""Signal generation, exact closed-loop integration, and error metrics.
+"""The signal generator, exact closed-loop integration, and error metrics.
 
-The closed loop driven by constant-plus-sinusoidal references and
-disturbances is autonomous once the signal generator is appended to the
-state, so trajectories are computed from a single matrix exponential, applied
-in 32-step blocks of its powers (phi^32 by five squarings): there is no
-time-discretization error at the grid points beyond the exponential's own
-backward error.  The exponential is one [13/13] Pade scaling-and-squaring
-routine.  The propagator returns only the linear outputs its caller reads
-(the trace's plant state, error and control for integrate, the two error rows
-for tracking_error), never the augmented state history.
+The reference y_ref and the disturbance w_d are constants plus sinusoids at
+one shared list of positive frequencies: the outputs of one exosystem
+vd = S v, which exosystem builds once.  The closed loop is autonomous once
+the generator is appended to the state, so trajectories are computed from a
+single matrix exponential, applied in 32-step blocks of its powers (phi^32 by
+five squarings): there is no time-discretization error at the grid points
+beyond the exponential's own backward error.  The exponential is one [13/13]
+Pade scaling-and-squaring routine.  The propagator returns only the linear
+outputs its caller reads (the trace's plant state, error and control for
+integrate, the two error rows for tracking_error), never the augmented state
+history.
 """
 
 import math
@@ -22,52 +24,58 @@ LOG_FLOOR = 1e-14  # floor for log|e| in the decay-rate fit
 _BLOCK = 32  # grid steps filled by one matrix product in propagate_autonomous; a power of 2
 
 
-@dataclass(frozen=True)
-class SignalSpec:
-    """Constant plus sinusoidal signal a0 + sum_k (a_k cos(w_k t) + b_k sin(w_k t)).
+@dataclass(frozen=True, eq=False)
+class Exosystem:
+    """The signal generator vd = S v, v(0) = v0, whose output E v stacks (w_d, y_ref).
 
-    ``freqs`` are the strictly positive frequencies; the constant offset is
-    carried separately.  Coefficient arrays have one row per frequency and
-    one column per signal channel; with no frequency, an empty table is the
-    (0, dim) table of a constant-only signal.
+    v holds a constant state, then one (cos, sin) pair per positive
+    frequency w, on which S rotates at w; the pair starts at (1, 0).  Column 0
+    of E holds the constant offsets, and columns 1 + 2k and 2 + 2k the cosine
+    and sine coefficients of frequency k.  Rows 0-3 of E are w_d's channels,
+    rows 4-5 y_ref's.
     """
 
-    freqs: tuple
-    const: tuple
-    cos_coeffs: tuple
-    sin_coeffs: tuple
-
-    @classmethod
-    def create(cls, freqs, const, cos_coeffs=None, sin_coeffs=None) -> "SignalSpec":
-        freqs = tuple(float(f) for f in freqs)
-        if any(f <= 0.0 for f in freqs) or list(freqs) != sorted(set(freqs)):
-            raise ValueError("signal frequencies must be strictly positive and increasing")
-        const = np.atleast_1d(np.asarray(const, dtype=float))
-        dim = const.size
-        q = len(freqs)
-
-        def table(coeffs):
-            rows = np.zeros((q, dim)) if coeffs is None else coeffs
-            if len(rows) != q or any(np.shape(row) != (dim,) for row in rows):
-                raise ValueError(f"coefficient tables must have {q} rows of {dim} entries")
-            return tuple(map(tuple, np.asarray(rows, dtype=float).reshape(q, dim)))
-
-        return cls(freqs=freqs, const=tuple(const),
-                   cos_coeffs=table(cos_coeffs), sin_coeffs=table(sin_coeffs))
-
-    @property
-    def dim(self) -> int:
-        return len(self.const)
+    S: np.ndarray
+    v0: np.ndarray
+    E: np.ndarray
 
 
-def eval_signal(spec: SignalSpec, t):
-    """Evaluate the signal at scalar or array times."""
-    t = np.asarray(t, dtype=float)
-    out = np.tile(np.asarray(spec.const), t.shape + (1,))
-    for f, a, b in zip(spec.freqs, spec.cos_coeffs, spec.sin_coeffs):
-        out += np.multiply.outer(np.cos(f * t), np.asarray(a))
-        out += np.multiply.outer(np.sin(f * t), np.asarray(b))
-    return out
+def exosystem(freqs, yref_const, wd_const,
+              yref_cos=None, yref_sin=None, wd_cos=None, wd_sin=None) -> Exosystem:
+    """The generator of y_ref = yref_const + sum_k (yref_cos[k] cos(w_k t) + yref_sin[k] sin(w_k t)),
+    and of w_d alike, at the strictly increasing positive frequencies freqs.
+
+    An offset has one entry per channel (2 for y_ref, 4 for w_d).  A
+    coefficient table has one row per frequency and one entry per channel;
+    None is the zero table, and with no frequency an empty table is the
+    (0, channels) table.  A malformed argument raises ValueError naming it.
+    """
+    freqs = tuple(float(f) for f in freqs)
+    if any(f <= 0.0 for f in freqs) or list(freqs) != sorted(set(freqs)):
+        raise ValueError(f"freqs must be strictly positive and increasing, got {freqs}")
+    q = len(freqs)
+    nw = 1 + 2 * q
+    E = np.zeros((6, nw))
+    for rows, signal, const, cos, sin in ((slice(0, 4), "wd", wd_const, wd_cos, wd_sin),
+                                          (slice(4, 6), "yref", yref_const, yref_cos, yref_sin)):
+        dim = rows.stop - rows.start
+        if np.shape(const) != (dim,):
+            raise ValueError(f"{signal}_const needs {dim} entries, got shape {np.shape(const)}")
+        E[rows, 0] = const
+        for col, name, table in ((1, "cos", cos), (2, "sin", sin)):
+            if table is None:
+                continue
+            if len(table) != q or any(np.shape(row) != (dim,) for row in table):
+                raise ValueError(f"{signal}_{name} must have {q} rows of {dim} entries")
+            E[rows, col::2] = np.reshape(table, (q, dim)).T
+    S = np.zeros((nw, nw))
+    k = np.arange(q)
+    S[1 + 2 * k, 2 + 2 * k] = np.negative(freqs)
+    S[2 + 2 * k, 1 + 2 * k] = freqs
+    v0 = np.zeros(nw)
+    v0[0] = 1.0
+    v0[1::2] = 1.0  # each (cos, sin) pair starts at (1, 0)
+    return Exosystem(S=S, v0=v0, E=E)
 
 
 # --- matrix exponential -----------------------------------------------------
@@ -192,63 +200,26 @@ class SimulationTrace:
         write_csv(path, ("t", "y1", "y2", "e1", "e2", "u1", "u2", "energy"), rows)
 
 
-def _exosystem(yref: SignalSpec, wd: SignalSpec):
-    """Autonomous generator of (w_d, y_ref): constant state plus rotation pairs."""
-    if yref.freqs != wd.freqs:
-        raise ValueError(
-            f"reference and disturbance must share the frequency list, "
-            f"got {yref.freqs} and {wd.freqs}"
-        )
-    freqs = yref.freqs
-    nw = 1 + 2 * len(freqs)
-    S = np.zeros((nw, nw))
-    v0 = np.zeros(nw)
-    v0[0] = 1.0
-    for i, f in enumerate(freqs):
-        S[1 + 2 * i, 2 + 2 * i] = -f
-        S[2 + 2 * i, 1 + 2 * i] = f
-        v0[1 + 2 * i] = 1.0  # (cos, sin) pair starts at (1, 0)
-    E = np.zeros((6, nw))
-    E[:4, 0] = wd.const
-    E[4:, 0] = yref.const
-    for i in range(len(freqs)):
-        E[:4, 1 + 2 * i] = wd.cos_coeffs[i]
-        E[:4, 2 + 2 * i] = wd.sin_coeffs[i]
-        E[4:, 1 + 2 * i] = yref.cos_coeffs[i]
-        E[4:, 2 + 2 * i] = yref.sin_coeffs[i]
-    return S, v0, E
-
-
-def _augment(cl: ClosedLoopSystem, x0: np.ndarray, yref: SignalSpec, wd: SignalSpec) -> tuple:
+def _augment(cl: ClosedLoopSystem, x0: np.ndarray, exo: Exosystem) -> tuple:
     """The closed loop with the signal generator appended: (A_aug, initial state, error map [Ce, De E]).
 
     ``x0`` is the plant's initial state; the controller starts at rest.
     """
-    if yref.dim != 2 or wd.dim != 4:
-        raise ValueError("reference must have 2 channels and disturbance 4")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (cl.plant.n,):
         raise ValueError(f"initial plant state must have length {cl.plant.n}, got {x0.shape}")
-    S, v0, E = _exosystem(yref, wd)
-    A_aug = np.block([[cl.Ae, cl.Be @ E], [np.zeros((S.shape[0], cl.n)), S]])
-    x0_aug = np.concatenate([x0, np.zeros(cl.controller.n_c), v0])
-    return A_aug, x0_aug, np.hstack([cl.Ce, cl.De @ E])
+    A_aug = np.block([[cl.Ae, cl.Be @ exo.E], [np.zeros((exo.S.shape[0], cl.n)), exo.S]])
+    x0_aug = np.concatenate([x0, np.zeros(cl.controller.n_c), exo.v0])
+    return A_aug, x0_aug, np.hstack([cl.Ce, cl.De @ exo.E])
 
 
-def integrate(
-    cl: ClosedLoopSystem,
-    x0: np.ndarray,
-    yref: SignalSpec,
-    wd: SignalSpec,
-    T: float,
-    dt: float,
-) -> SimulationTrace:
+def integrate(cl: ClosedLoopSystem, x0: np.ndarray, exo: Exosystem, T: float, dt: float) -> SimulationTrace:
     """Integrate the closed loop from plant state x0, the controller at rest, exactly on a uniform grid.
 
     Only the rows the trace reads are propagated (propagate_autonomous): the
     plant state (for y and the energy), the error map and the control map.
     """
-    A_aug, x0_aug, error_map = _augment(cl, x0, yref, wd)
+    A_aug, x0_aug, error_map = _augment(cl, x0, exo)
     n = cl.plant.n
     control_map = np.zeros_like(error_map)  # u = K z - kappa e
     control_map[:, n : cl.n] = cl.controller.K
@@ -260,16 +231,9 @@ def integrate(
     return SimulationTrace(t=t, y=xp @ cl.plant.C.T, e=ys[:, n : n + 2], u=ys[:, n + 2 :], energy=energy)
 
 
-def tracking_error(
-    cl: ClosedLoopSystem,
-    x0: np.ndarray,
-    yref: SignalSpec,
-    wd: SignalSpec,
-    T: float,
-    dt: float,
-) -> tuple:
+def tracking_error(cl: ClosedLoopSystem, x0: np.ndarray, exo: Exosystem, T: float, dt: float) -> tuple:
     """Grid times and tracking error e of integrate's run, propagating only e's two rows."""
-    A_aug, x0_aug, error_map = _augment(cl, x0, yref, wd)
+    A_aug, x0_aug, error_map = _augment(cl, x0, exo)
     return propagate_autonomous(A_aug, x0_aug, T, dt, error_map)
 
 

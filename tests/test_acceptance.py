@@ -12,7 +12,6 @@ from dataclasses import replace
 import numpy as np
 import flexsat as fx
 from flexsat import analysis
-from flexsat.simulate import _exosystem
 from conftest import FREQS, random_params
 
 OMEGA_GRID = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 6.0)
@@ -124,14 +123,13 @@ def test_criterion_05_structural_identities(params, ss10, default_config, plant_
         vel_top5 = float(np.max(np.linalg.eigvalsh(sym5[nb:, nb:])))
 
         cl = fx.assemble_closed_loop(ss10, plant_only_ctrl)
-        yref = fx.SignalSpec.create((1.0, 2.0), np.zeros(2))
-        wd = fx.SignalSpec.create(
-            (1.0, 2.0), np.zeros(4),
-            cos_coeffs=[[0, 0, 0, 0], [0, 0, 0, 1.0]],
-            sin_coeffs=[[0, 0, 1.0, 0], [0, 0, 0, 0]],
+        exo = fx.exosystem(
+            (1.0, 2.0), np.zeros(2), np.zeros(4),
+            wd_cos=[[0, 0, 0, 0], [0, 0, 0, 1.0]],
+            wd_sin=[[0, 0, 1.0, 0], [0, 0, 0, 0]],
         )
         x0 = fx.project_initial_state(default_config.initial_profiles(), ss10)
-        S, v0, E = _exosystem(yref, wd)
+        S, v0, E = exo.S, exo.v0, exo.E
         ne, nw = cl.n, S.shape[0]
         A_aug = np.zeros((ne + nw, ne + nw))
         A_aug[:ne, :ne] = cl.Ae

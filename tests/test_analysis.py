@@ -55,6 +55,27 @@ def test_validation_checks_skip_rows_carry_nan():
             assert math.isnan(check.value), check
         else:
             assert last_number_is_value(check), check
+    by_name = {c.name: c for c in checks}
+    margin = by_name["plant_margin"]
+    assert margin.detail == f"margin = {margin.value:.3e} (undamped configuration?)"
+    assert by_name["s_matrix_identity"].detail == "undamped: zero-frequency theory degenerates"
+
+
+def test_validation_checks_name_rounding_on_a_damped_plant():
+    # at gamma = 1e12 the overdamped plant's margin reads -2.4e-4, within eig's
+    # rounding eps ||A||_2 = 2.2e-4; the rows keep the undamped plant's statuses
+    # but do not call it undamped (transfer_beam overflows at this gamma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        checks = list(analysis.validation_checks(RunConfig(gamma=1e12)))
+    assert tuple(c.name for c in checks) == CHECK_NAMES
+    assert [c.status for c in checks] == ["pass", "pass", "pass", "warn", "fail"] + ["skip"] * 5
+    by_name = {c.name: c for c in checks}
+    margin = by_name["plant_margin"]
+    assert -3e-4 < margin.value < 0.0 and last_number_is_value(margin)
+    assert margin.detail == (f"eps*||A||_2 = 2.220e-04, margin = {margin.value:.3e} "
+                             "(damped plant, margin within eig's rounding)")
+    skip = by_name["s_matrix_identity"]
+    assert math.isnan(skip.value) and "undamped" not in skip.detail
 
 
 def test_assembled_plant_is_stable(params):

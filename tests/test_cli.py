@@ -128,11 +128,15 @@ def test_linear_algebra_failure_exits_1(tmp_path, monkeypatch, capsys):
 
 def test_refused_config_prints_nothing(tmp_path, capsys):
     # refused on load: a negative seed used to fail validate after five check
-    # rows, and a t_final that is no whole multiple of dt ended the run early
+    # rows, and a t_final that is no whole multiple of dt ended the run early;
+    # a wrong-length offset names its key
     path = tmp_path / "bad.ini"
     for text, command, message in (("[output]\nseed = -1\n", "validate", "seed"),
                                    ("[simulation]\nt_final = 1.0\ndt = 0.4\n", "simulate", "end at 0.8"),
-                                   ("[simulation]\nt_final = 0.35\ndt = 0.1\n", "simulate", "whole multiple")):
+                                   ("[simulation]\nt_final = 0.35\ndt = 0.1\n", "simulate", "whole multiple"),
+                                   ("[signals]\nyref_const = 1.0\n", "validate", "yref_const"),
+                                   ("[signals]\nwd_const = 0.0 0.0 0.0\n", "validate", "wd_const"),
+                                   ("[simulation]\nhub_velocity = 0.0\n", "validate", "hub_velocity")):
         path.write_text(text)
         rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"), command])
         captured = capsys.readouterr()

@@ -5,7 +5,6 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-import flexsat as fx
 from flexsat import analysis
 from flexsat.config import (
     SWEEP_RANGES,
@@ -83,11 +82,11 @@ def test_parse_partial_config():
 
 
 def test_reference_signals():
-    cfg = RunConfig()
-    y0 = fx.eval_signal(cfg.yref_spec(), 0.0)
-    assert np.allclose(y0, [4.0, 3.5], atol=1e-15)
-    w0 = fx.eval_signal(cfg.wd_spec(), 12.34)
-    assert np.allclose(w0, [0.0, 0.0, 10.0, 15.0], atol=1e-15)
+    # (w_d, y_ref) = E v at t = 0, where every (cos, sin) pair of v is (1, 0)
+    exo = RunConfig().exosystem()
+    assert np.allclose(exo.E @ exo.v0, [0.0, 0.0, 10.0, 15.0, 4.0, 3.5], atol=1e-15)
+    # w_d is constant: its only nonzero column is the offset's
+    assert np.array_equal(exo.E[:4, 1:], np.zeros((4, 6)))
 
 
 def test_initial_profile_presets():
@@ -139,7 +138,8 @@ def test_validation_errors():
         with pytest.raises(ConfigError, match="hub_velocity"):
             RunConfig(initial_profile="custom", hub_velocity=hub)
     for name, value in (("t_final", np.inf), ("gamma", np.nan), ("dt", np.nan),
-                        ("frequencies", (0.0, 1.0, 2.0, np.inf)), ("wd_const", (0.0, 0.0, np.nan, 1.0))):
+                        ("frequencies", (0.0, 1.0, 2.0, np.inf)), ("wd_const", (0.0, 0.0, np.nan, 1.0)),
+                        ("yref_const", (1.0,)), ("wd_const", (0.0,) * 3), ("hub_velocity", (0.0,))):
         with pytest.raises(ConfigError, match=name):
             RunConfig(**{name: value})
 
@@ -219,8 +219,8 @@ def test_default_sweep_grids():
 def test_constant_only_signals():
     # with no positive frequency, empty coefficient tables are the (0, dim) tables
     cfg = parse_config("[signals]\nfrequencies = 0.0\nyref_cos =\nyref_sin =\nwd_cos =\nwd_sin =\n")
-    assert cfg.yref_spec().freqs == () and cfg.yref_spec().const == (1.0, 2.0)
-    assert np.allclose(fx.eval_signal(cfg.wd_spec(), 3.0), [0.0, 0.0, 10.0, 15.0], atol=0.0)
+    exo = cfg.exosystem()
+    assert exo.S.shape == (1, 1) and np.array_equal(exo.E[:, 0], [0.0, 0.0, 10.0, 15.0, 1.0, 2.0])
     assert parse_config(config_to_ini(cfg)) == cfg
 
 
@@ -235,7 +235,7 @@ def test_constant_offset_needs_zero_frequency():
         parse_config("[signals]\nfrequencies = 1.0 2.0 5.0\n")
     # zero offsets need no zero frequency
     cfg = RunConfig(frequencies=(1.0, 2.0, 5.0), yref_const=(0.0, 0.0), wd_const=(0.0,) * 4)
-    assert cfg.yref_spec().const == (0.0, 0.0)
+    assert not cfg.exosystem().E[:, 0].any()  # the offsets column
 
 
 def test_c1_sweep_needs_a_positive_frequency():

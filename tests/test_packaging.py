@@ -1,4 +1,5 @@
-"""The package metadata declares what the test suite imports and the console script it installs."""
+"""The package metadata declares what the test suite imports and the console script it installs,
+and the package exports exactly its public names."""
 
 import ast
 import importlib.metadata
@@ -6,7 +7,9 @@ import pathlib
 import re
 import sys
 import tomllib
+import types
 
+import flexsat
 from flexsat import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -44,3 +47,14 @@ def test_console_script_resolves_to_cli_main():
     scripts = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]["scripts"]
     main = importlib.metadata.EntryPoint("flexsat", scripts["flexsat"], "console_scripts").load()
     assert main is cli.main and callable(main)
+
+
+def test_public_api_list_is_exact():
+    # __all__ names every public name the package binds, its submodules aside, and each resolves
+    public = {name for name, value in vars(flexsat).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(set(flexsat.__all__)) == len(flexsat.__all__)
+    assert set(flexsat.__all__) == public
+    namespace = {}
+    exec("from flexsat import *", namespace)
+    assert all(namespace[name] is getattr(flexsat, name) for name in flexsat.__all__)

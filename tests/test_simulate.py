@@ -1,4 +1,4 @@
-"""Signal evaluation, matrix exponential, exact integration, error metrics."""
+"""The exosystem, matrix exponential, exact integration, error metrics."""
 
 from dataclasses import replace
 
@@ -11,65 +11,88 @@ from hypothesis import strategies as st
 import flexsat as fx
 from flexsat import analysis, simulate
 from flexsat.config import RunConfig
-from flexsat.simulate import _augment, _exosystem
+from flexsat.simulate import _augment
+
+REFERENCE_SIGNALS = dict(
+    freqs=(1.0, 2.0, 5.0),
+    yref_const=(1.0, 2.0),
+    wd_const=(0.0, 0.0, 10.0, 15.0),
+    yref_cos=[[3.0, 0.0], [0.0, 1.5], [0.0, 0.0]],
+    yref_sin=[[0.0, 0.0], [0.0, 0.0], [0.0, -1.0]],
+)
 
 
-def reference_yref():
-    return fx.SignalSpec.create(
-        (1.0, 2.0, 5.0),
-        (1.0, 2.0),
-        cos_coeffs=[[3.0, 0.0], [0.0, 1.5], [0.0, 0.0]],
-        sin_coeffs=[[0.0, 0.0], [0.0, 0.0], [0.0, -1.0]],
-    )
+def closed_form(t, freqs, const, cos=None, sin=None):
+    """const + sum_k (cos[k] cos(w_k t) + sin[k] sin(w_k t)) at scalar or array times t."""
+    t = np.asarray(t, dtype=float)
+    out = np.tile(np.asarray(const, dtype=float), t.shape + (1,))
+    for k, w in enumerate(freqs):
+        for table, wave in ((cos, np.cos), (sin, np.sin)):
+            if table is not None:
+                out += np.multiply.outer(wave(w * t), np.asarray(table[k], dtype=float))
+    return out
 
 
-def reference_wd():
-    return fx.SignalSpec.create((1.0, 2.0, 5.0), (0.0, 0.0, 10.0, 15.0))
+def generated(exo, t):
+    """(w_d, y_ref) = E exp(S t) v0, the exosystem's output at time t."""
+    return exo.E @ sla.expm(exo.S * t) @ exo.v0
 
 
-# --- signals --------------------------------------------------------------------
+# --- the exosystem --------------------------------------------------------------
 
 
-def test_eval_signal_reference_values():
-    y0 = fx.eval_signal(reference_yref(), 0.0)
-    assert np.allclose(y0, [4.0, 3.5], atol=1e-15)
-    t = np.array([0.0, 0.4, 2.0])
-    wd = fx.eval_signal(reference_wd(), t)
-    assert np.allclose(wd, np.tile([0.0, 0.0, 10.0, 15.0], (3, 1)), atol=1e-15)
+def test_generator_reference_values():
+    exo = fx.exosystem(**REFERENCE_SIGNALS)
+    assert np.allclose(generated(exo, 0.0), [0.0, 0.0, 10.0, 15.0, 4.0, 3.5], atol=1e-15)
+    for t in (0.4, 2.0):
+        assert np.allclose(generated(exo, t)[:4], [0.0, 0.0, 10.0, 15.0], atol=1e-15)
     # spot check the closed form at one time
-    y = fx.eval_signal(reference_yref(), 0.7)
+    y = generated(exo, 0.7)[4:]
     assert y[0] == pytest.approx(1.0 + 3.0 * np.cos(0.7), rel=1e-15)
     assert y[1] == pytest.approx(2.0 - np.sin(3.5) + 1.5 * np.cos(1.4), rel=1e-15)
 
 
-def test_eval_signal_zero():
-    z = fx.SignalSpec.create((), np.zeros(4))
-    assert np.allclose(fx.eval_signal(z, 3.2), np.zeros(4), atol=0.0)
+def test_generator_of_zero_signals():
+    exo = fx.exosystem((), np.zeros(2), np.zeros(4))
+    assert exo.S.shape == (1, 1) and np.array_equal(exo.v0, [1.0])
+    assert np.array_equal(generated(exo, 3.2), np.zeros(6))
 
 
-def test_signal_spec_validation():
-    with pytest.raises(ValueError):
-        fx.SignalSpec.create((2.0, 1.0), (0.0, 0.0))
-    with pytest.raises(ValueError):
-        fx.SignalSpec.create((1.0,), (0.0, 0.0), cos_coeffs=[[1.0, 2.0], [3.0, 4.0]])
+def test_generator_validation():
+    with pytest.raises(ValueError, match="freqs"):
+        fx.exosystem((2.0, 1.0), (0.0, 0.0), np.zeros(4))
+    with pytest.raises(ValueError, match="freqs"):
+        fx.exosystem((0.0, 1.0), (0.0, 0.0), np.zeros(4))
+    with pytest.raises(ValueError, match="yref_cos"):
+        fx.exosystem((1.0,), (0.0, 0.0), np.zeros(4), yref_cos=[[1.0, 2.0], [3.0, 4.0]])
+    # a disturbance table built for another frequency list
+    with pytest.raises(ValueError, match="wd_sin"):
+        fx.exosystem((1.0,), (0.0, 0.0), np.zeros(4), wd_sin=np.zeros((2, 4)))
+    # a 3-channel disturbance, and a 1-channel reference
+    with pytest.raises(ValueError, match="wd_const"):
+        fx.exosystem((1.0,), (0.0, 0.0), np.zeros(3))
+    with pytest.raises(ValueError, match="yref_const"):
+        fx.exosystem((1.0,), (0.0,), np.zeros(4))
 
 
-def test_exosystem_reproduces_eval_signal():
+def test_generator_reproduces_closed_form():
     # the generator appended to the closed loop is the signal's closed form
     rng = np.random.default_rng(3)
     freqs = (0.7, 1.0, 2.0, 5.0)
-    yref = fx.SignalSpec.create(freqs, rng.normal(size=2), rng.normal(size=(4, 2)), rng.normal(size=(4, 2)))
-    wd = fx.SignalSpec.create(freqs, rng.normal(size=4), rng.normal(size=(4, 4)), rng.normal(size=(4, 4)))
-    S, v0, E = _exosystem(yref, wd)
+    yref = (rng.normal(size=2), rng.normal(size=(4, 2)), rng.normal(size=(4, 2)))
+    wd = (rng.normal(size=4), rng.normal(size=(4, 4)), rng.normal(size=(4, 4)))
+    exo = fx.exosystem(freqs, yref[0], wd[0], yref_cos=yref[1], yref_sin=yref[2],
+                       wd_cos=wd[1], wd_sin=wd[2])
     for t in (0.0, 0.3, 1.7, 4.0, 9.1, 12.5):
-        expected = np.concatenate([fx.eval_signal(wd, t), fx.eval_signal(yref, t)])
-        np.testing.assert_allclose(E @ sla.expm(S * t) @ v0, expected, rtol=0.0, atol=1e-10)
+        expected = np.concatenate([closed_form(t, freqs, *wd), closed_form(t, freqs, *yref)])
+        np.testing.assert_allclose(generated(exo, t), expected, rtol=0.0, atol=1e-10)
 
 
 @pytest.mark.parametrize("trace", ["passive_trace", "observer_trace"])
 def test_trace_error_is_output_minus_reference(request, default_config, trace):
     tr = request.getfixturevalue(trace)
-    ref = fx.eval_signal(default_config.yref_spec(), tr.t)
+    cfg = default_config
+    ref = closed_form(tr.t, cfg.positive_frequencies(), cfg.yref_const, cfg.yref_cos, cfg.yref_sin)
     assert np.abs(tr.e - (tr.y - ref)).max() <= 1e-10 * np.abs(ref).max()
 
 
@@ -208,7 +231,7 @@ def test_propagate_blocked_matches_step_loop(steps):
 def augmented_loop(cl, cfg):
     """Closed loop with the configured signal generator appended, and its initial state."""
     x0 = fx.project_initial_state(cfg.initial_profiles(), cl.plant)
-    return _augment(cl, x0, cfg.yref_spec(), cfg.wd_spec())[:2]
+    return _augment(cl, x0, cfg.exosystem())[:2]
 
 
 def test_propagate_reference_loops_match_step_loop(default_config, passive_loop):
@@ -227,9 +250,8 @@ def test_propagate_reference_loops_match_step_loop(default_config, passive_loop)
 
 
 def test_integrate_zero_inputs_zero_state(passive_loop):
-    yref = fx.SignalSpec.create((1.0, 2.0, 5.0), np.zeros(2))
-    wd = fx.SignalSpec.create((1.0, 2.0, 5.0), np.zeros(4))
-    trace = fx.integrate(passive_loop, np.zeros(passive_loop.plant.n), yref, wd, 1.0, 0.01)
+    exo = fx.exosystem((1.0, 2.0, 5.0), np.zeros(2), np.zeros(4))
+    trace = fx.integrate(passive_loop, np.zeros(passive_loop.plant.n), exo, 1.0, 0.01)
     assert np.max(np.abs(trace.y)) == 0.0
     assert np.max(np.abs(trace.e)) == 0.0
     assert np.max(np.abs(trace.u)) == 0.0
@@ -241,9 +263,8 @@ def test_integrate_autonomous_energy_decay(ss10, default_config, plant_only_ctrl
     # the end (exponential stability of the assembled model)
     cl = fx.assemble_closed_loop(ss10, plant_only_ctrl)
     x0 = fx.project_initial_state(default_config.initial_profiles(), ss10)
-    yref = fx.SignalSpec.create((), np.zeros(2))
-    wd = fx.SignalSpec.create((), np.zeros(4))
-    trace = fx.integrate(cl, x0, yref, wd, 15.0, 0.005)
+    exo = fx.exosystem((), np.zeros(2), np.zeros(4))
+    trace = fx.integrate(cl, x0, exo, 15.0, 0.005)
     assert trace.energy[0] == pytest.approx(ss10.energy(x0), rel=1e-14)
     diffs = np.diff(trace.energy)
     assert np.all(diffs <= 1e-12 * trace.energy[0])
@@ -253,10 +274,9 @@ def test_integrate_autonomous_energy_decay(ss10, default_config, plant_only_ctrl
 
 def test_integrate_grid_invariance(passive_loop, default_config):
     x0 = fx.project_initial_state(default_config.initial_profiles(), passive_loop.plant)
-    yref = default_config.yref_spec()
-    wd = default_config.wd_spec()
-    tr1 = fx.integrate(passive_loop, x0, yref, wd, 3.0, 0.01)
-    tr2 = fx.integrate(passive_loop, x0, yref, wd, 3.0, 0.005)
+    exo = default_config.exosystem()
+    tr1 = fx.integrate(passive_loop, x0, exo, 3.0, 0.01)
+    tr2 = fx.integrate(passive_loop, x0, exo, 3.0, 0.005)
     assert np.max(np.abs(tr1.y - tr2.y[::2])) < 1e-10
     assert np.max(np.abs(tr1.e - tr2.e[::2])) < 1e-10
 
@@ -269,7 +289,7 @@ def test_halving_dt_does_not_move_the_samples(kind, N):
     ss = analysis.plant_from_config(cfg)
     cl = fx.assemble_closed_loop(ss, analysis.controller_from_config(cfg, ss))
     x0 = fx.project_initial_state(cfg.initial_profiles(), ss)
-    args = (cl, x0, cfg.yref_spec(), cfg.wd_spec(), cfg.t_final)
+    args = (cl, x0, cfg.exosystem(), cfg.t_final)
     t, e = simulate.tracking_error(*args, cfg.dt)
     t_fine, e_fine = simulate.tracking_error(*args, cfg.dt / 2)
     assert np.array_equal(t, t_fine[::2])
@@ -277,53 +297,47 @@ def test_halving_dt_does_not_move_the_samples(kind, N):
 
 
 def test_integrate_validates_inputs(passive_loop):
-    yref = fx.SignalSpec.create((1.0,), np.zeros(2))
-    wd_wrong = fx.SignalSpec.create((2.0,), np.zeros(4))
+    # signals that disagree on frequencies or channels cannot form an
+    # Exosystem (test_generator_validation); a wrong-length x0 is refused here
+    exo = fx.exosystem((1.0,), np.zeros(2), np.zeros(4))
     with pytest.raises(ValueError):
-        fx.integrate(passive_loop, np.zeros(passive_loop.plant.n), yref, wd_wrong, 1.0, 0.01)
-    wd3 = fx.SignalSpec.create((1.0,), np.zeros(3))
-    with pytest.raises(ValueError):
-        fx.integrate(passive_loop, np.zeros(passive_loop.plant.n), yref, wd3, 1.0, 0.01)
-    wd = fx.SignalSpec.create((1.0,), np.zeros(4))
-    with pytest.raises(ValueError):
-        fx.integrate(passive_loop, np.zeros(3), yref, wd, 1.0, 0.01)
+        fx.integrate(passive_loop, np.zeros(3), exo, 1.0, 0.01)
 
 
 def test_initial_state_is_the_plant_state(passive_loop, default_config):
     # the controller starts at rest: _augment appends its zero state and the
     # generator's, and a loop-length x0 is refused, naming the plant length
-    yref, wd = default_config.yref_spec(), default_config.wd_spec()
+    exo = default_config.exosystem()
     x0 = fx.project_initial_state(default_config.initial_profiles(), passive_loop.plant)
-    _, x0_aug, error_map = _augment(passive_loop, x0, yref, wd)
-    _, v0, E = _exosystem(yref, wd)
-    assert np.array_equal(x0_aug, np.concatenate([x0, np.zeros(passive_loop.controller.n_c), v0]))
-    assert np.array_equal(error_map, np.hstack([passive_loop.Ce, passive_loop.De @ E]))
-    trace = fx.integrate(passive_loop, x0, yref, wd, 1.0, 0.01)
-    t, e = simulate.tracking_error(passive_loop, x0, yref, wd, 1.0, 0.01)
+    _, x0_aug, error_map = _augment(passive_loop, x0, exo)
+    assert np.array_equal(x0_aug, np.concatenate([x0, np.zeros(passive_loop.controller.n_c), exo.v0]))
+    assert np.array_equal(error_map, np.hstack([passive_loop.Ce, passive_loop.De @ exo.E]))
+    trace = fx.integrate(passive_loop, x0, exo, 1.0, 0.01)
+    t, e = simulate.tracking_error(passive_loop, x0, exo, 1.0, 0.01)
     assert np.array_equal(t, trace.t)
     assert np.max(np.abs(e - trace.e)) <= 1e-12 * np.max(np.abs(e))
     loop_x0 = np.zeros(passive_loop.n)
     for run in (fx.integrate, simulate.tracking_error):
         with pytest.raises(ValueError, match=rf"length {passive_loop.plant.n}, got \({passive_loop.n},\)"):
-            run(passive_loop, loop_x0, yref, wd, 1.0, 0.01)
+            run(passive_loop, loop_x0, exo, 1.0, 0.01)
 
 
 def test_energy_balance_forced_run(ss10, default_config, plant_only_ctrl):
     # inject sinusoidal forces through the hub disturbance channels and close
     # the discrete energy balance: E(T) - E(0) = int u.y - int v.D v
     cl = fx.assemble_closed_loop(ss10, plant_only_ctrl)
-    yref = fx.SignalSpec.create((1.0, 2.0), np.zeros(2))
-    wd = fx.SignalSpec.create(
+    exo = fx.exosystem(
         (1.0, 2.0),
+        np.zeros(2),
         np.zeros(4),
-        cos_coeffs=[[0, 0, 0, 0], [0, 0, 0, 1.0]],
-        sin_coeffs=[[0, 0, 1.0, 0], [0, 0, 0, 0]],
+        wd_cos=[[0, 0, 0, 0], [0, 0, 0, 1.0]],
+        wd_sin=[[0, 0, 1.0, 0], [0, 0, 0, 0]],
     )
     x0 = fx.project_initial_state(default_config.initial_profiles(), ss10)
-    E = _exosystem(yref, wd)[2]
+    E = exo.E
     residuals = []
     for dt in (0.005, 0.0025):
-        A_aug, x0_aug, _ = _augment(cl, x0, yref, wd)
+        A_aug, x0_aug, _ = _augment(cl, x0, exo)
         t, xs = fx.propagate_autonomous(A_aug, x0_aug, 15.0, dt, np.eye(A_aug.shape[0]))
         xp = xs[:, : ss10.n]
         vel = xp[:, 2 * ss10.n_basis :]
