@@ -19,7 +19,6 @@ from .analytic import (
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .discretize import (
     BeamBasis,
-    InitialProfiles,
     LinearStateSpace,
     assemble,
     build_basis,
@@ -65,7 +64,6 @@ __all__ = [
     "build_basis",
     "LinearStateSpace",
     "assemble",
-    "InitialProfiles",
     "project_initial_state",
     "galerkin_transfer",
     "InternalModel",

@@ -72,7 +72,7 @@ def transfer_error_report(p, Ns, omegas) -> list:
 # --- configuration-driven construction --------------------------------------
 
 def plant_from_config(cfg: RunConfig) -> LinearStateSpace:
-    return assemble(cfg.physical(), cfg.n_basis, cfg.bd_profiles())
+    return assemble(cfg.physical(), cfg.n_basis, (cfg.bd1, cfg.bd2))
 
 
 def controller_from_config(cfg: RunConfig, ss: LinearStateSpace, H=None) -> ControllerRealization:
@@ -83,7 +83,7 @@ def controller_from_config(cfg: RunConfig, ss: LinearStateSpace, H=None) -> Cont
 
 
 def simulate_from_config(cfg: RunConfig, cl: ClosedLoopSystem) -> SimulationTrace:
-    x0 = project_initial_state(cfg.initial_profiles(), cl.plant)
+    x0 = project_initial_state(cl.plant, **cfg.initial_profiles())
     return integrate(cl, x0, cfg.exosystem(), cfg.t_final, cfg.dt)
 
 
@@ -219,7 +219,7 @@ def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
     sweep_range(cfg, parameter)
     points = [replace(cfg, **{parameter: float(value)}) for value in grid]
     ss = plant_from_config(cfg)
-    x0_plant = project_initial_state(cfg.initial_profiles(), ss)
+    x0_plant = project_initial_state(ss, **cfg.initial_profiles())
     exo = cfg.exosystem()
     H = None
     if cfg.controller_kind == "observer":

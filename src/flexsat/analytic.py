@@ -17,7 +17,12 @@ transfer is P(i w) = C_c S(i w) B_c with
     S(i w) = [i w I + B_c P_b(i w) C_c]^{-1}.
 
 All hyperbolic ratios are evaluated in exponentially scaled form so the
-formulas stay finite far past |w| = 1e6.
+formulas stay finite far past |w| = 1e6 at moderate damping (at gamma = 5 with
+unit constants, |Im alpha| stays below 0.54 at every w).  Their products still
+carry e^(2 |Im alpha|), which leaves double range once |Im alpha| exceeds
+about 355.2: for an overdamped panel (gamma >> rho a |w|) that is
+gamma |w| / EI above about 7.43e11, for example gamma = 1e12 at w = 1 with
+unit constants.  transfer_beam then raises RuntimeError naming w and gamma.
 """
 
 import math
@@ -62,20 +67,26 @@ def transfer_beam(omega: float, p: PhysicalParams) -> np.ndarray:
     if abs(omega) < OMEGA_ZERO_THRESHOLD:
         return np.diag([2.0 * p.gamma, 2.0 * p.gamma / 3.0]).astype(complex)
     al = alpha(omega, p)
-    # hk = Ck / cosh(alpha) stay finite where the Ck overflow (Re(alpha) > ~710)
-    T = np.tanh(al)
-    S = _sech(al)
-    c = np.cos(al)
-    s = np.sin(al)
-    h1 = S + c + s * T
-    h2 = 2.0 * (S + c)
-    h3 = T + s * S
-    h4 = c * T - s
-    h5 = 1.0 + c * S
-    c2w = (h2 * c * S - h1 * h5) / (h2 * h3)
-    c3w = h4 / h2
-    pref = 4.0 * p.EI * al / (1j * omega)
-    return np.diag([pref * al * al * c2w, pref * c3w])
+    # hk = Ck / cosh(alpha) stay finite where the Ck overflow (Re(alpha) > ~710);
+    # h2 * c overflows past |Im(alpha)| ~ 355, which the finiteness check reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        T = np.tanh(al)
+        S = _sech(al)
+        c = np.cos(al)
+        s = np.sin(al)
+        h1 = S + c + s * T
+        h2 = 2.0 * (S + c)
+        h3 = T + s * S
+        h4 = c * T - s
+        h5 = 1.0 + c * S
+        c2w = (h2 * c * S - h1 * h5) / (h2 * h3)
+        c3w = h4 / h2
+        pref = 4.0 * p.EI * al / (1j * omega)
+        out = np.diag([pref * al * al * c2w, pref * c3w])
+    if not np.isfinite(out).all():
+        raise RuntimeError(f"the closed-form panel transfer overflows at omega = {omega!r}, "
+                           f"gamma = {p.gamma!r}")
+    return out
 
 
 def transfer_rigid(omega: float, p: PhysicalParams) -> np.ndarray:

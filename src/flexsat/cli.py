@@ -108,7 +108,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, perturb: dict | None) -> int:
     ss = analysis.plant_from_config(cfg)
     ctrl = analysis.controller_from_config(cfg, ss)
     if perturbed is not None:  # the controller keeps its design plant, so the loop's margin is a full eig
-        ss = assemble(perturbed, cfg.n_basis, cfg.bd_profiles())
+        ss = assemble(perturbed, cfg.n_basis, (cfg.bd1, cfg.bd2))
         print("plant perturbed:", ", ".join(f"{k} x {v}" for k, v in perturb.items()))
     cl = assemble_closed_loop(ss, ctrl)
     margin = cl.margin
@@ -169,7 +169,7 @@ def main(argv=None) -> int:
         gc.freeze()
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config) if args.config else RunConfig()
+        cfg = load_config(args.config) if args.config is not None else RunConfig()
         out_dir = args.out if args.out is not None else cfg.out_dir
         if args.command == "validate":
             return cmd_validate(cfg)

@@ -7,7 +7,12 @@ separated by ';', one row per positive frequency and one column per channel.
 The field's entry in _SECTIONS sets the key's section, its name in the file
 and its place in the written file.  Initial panel profiles and disturbance
 shapes are polynomial coefficient lists (ascending powers of xi) or named
-presets.  Values are literal ('%' included); [DEFAULT] is an unknown section.
+presets.  The model builders take the keys as the file writes them:
+simulate.exosystem the [signals] keys (RunConfig.exosystem), the controllers
+and regulation_zero_check the same frequencies, discretize.assemble the pair
+(bd1, bd2), and discretize.project_initial_state the five profile keys as
+keywords (RunConfig.initial_profiles, which resolves initial_profile).
+Values are literal ('%' included); [DEFAULT] is an unknown section.
 The resolved configuration is written back out (the run manifest) and
 reparses to an identical value.  default_sweep_grid builds every sweep grid.
 """
@@ -20,10 +25,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .discretize import InitialProfiles
 from .params import PhysicalParams
 from .simulate import Exosystem, exosystem, grid_steps
-from .synthesis import internal_model
 
 
 class ConfigError(ValueError):
@@ -104,7 +107,6 @@ class RunConfig:
                 raise ConfigError(f"{f.name} must be finite")
         try:
             self.physical()
-            internal_model(self.frequencies)
             self.exosystem()
             grid_steps(self.t_final, self.dt)
         except ValueError as exc:
@@ -118,8 +120,6 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive")
         if len(self.hub_velocity) != 2:
             raise ConfigError(f"hub_velocity needs 2 entries, got {len(self.hub_velocity)}")
-        if 0.0 not in self.frequencies and any(self.yref_const + self.wd_const):
-            raise ConfigError("a nonzero yref_const or wd_const needs 0 in frequencies to be tracked")
         if self.initial_profile not in INITIAL_PROFILE_PRESETS:
             raise ConfigError(f"initial profile must be one of {INITIAL_PROFILE_PRESETS}")
         profiles = (self.left_velocity, self.right_velocity, self.left_moment, self.right_moment)
@@ -145,30 +145,25 @@ class RunConfig:
             gamma=self.gamma, m=self.m, I_m=self.I_m,
         )
 
-    def positive_frequencies(self) -> tuple:
-        return tuple(f for f in self.frequencies if f > 0.0)
-
     def exosystem(self) -> Exosystem:
-        return exosystem(self.positive_frequencies(), self.yref_const, self.wd_const,
+        return exosystem(self.frequencies, self.yref_const, self.wd_const,
                          self.yref_cos, self.yref_sin, self.wd_cos, self.wd_sin)
 
-    def initial_profiles(self) -> InitialProfiles:
+    def initial_profiles(self) -> dict:
+        """project_initial_state's keywords: the five profile keys, or the preset's profiles."""
         if self.initial_profile == "parabolic_moment":
             # panels at rest with parabolic initial bending moments 4(1 +- xi)^2
-            return InitialProfiles(
+            return dict(
                 left_moment=lambda x: 4.0 * (1.0 + x) ** 2,
                 right_moment=lambda x: 4.0 * (1.0 - x) ** 2,
             )
-        return InitialProfiles(  # empty coefficient lists, as the zero preset has, give zero profiles
+        return dict(  # empty coefficient lists, as the zero preset has, give zero profiles
             left_velocity=self.left_velocity or None,
             right_velocity=self.right_velocity or None,
             left_moment=self.left_moment or None,
             right_moment=self.right_moment or None,
             hub_velocity=tuple(self.hub_velocity),
         )
-
-    def bd_profiles(self) -> tuple:
-        return (tuple(self.bd1), tuple(self.bd2))
 
 
 def _fmt_vec(vec) -> str:
@@ -268,7 +263,7 @@ def sweep_range(cfg: RunConfig, parameter: str) -> tuple:
     if parameter not in ranges:
         raise ConfigError(f"parameter {parameter!r} does not apply to the {cfg.controller_kind} "
                           f"controller (choose from {', '.join(ranges)})")
-    if parameter == "c1" and not cfg.positive_frequencies():  # c1 scales only rotation blocks
+    if parameter == "c1" and not any(cfg.frequencies):  # c1 scales only rotation blocks
         raise ConfigError("c1 has no effect without a positive frequency: every row would be equal")
     return ranges[parameter]
 

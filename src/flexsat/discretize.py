@@ -121,11 +121,6 @@ class LinearStateSpace:
     stiffness: np.ndarray     # diagonal of the elastic stiffness Gram
     chol: np.ndarray          # lower Cholesky factor L, M = L L^T; initial data are solved against it
 
-    def energy(self, x: np.ndarray) -> float:
-        """Mechanical energy of a plant state (elastic plus kinetic)."""
-        x = np.asarray(x, dtype=float)
-        return 0.5 * float(x @ x)
-
     @cached_property
     def margin(self) -> float:
         """Stability margin of A, computed on first use."""
@@ -152,8 +147,9 @@ def assemble(p: PhysicalParams, N: int, bd_profiles=((1.0,), (1.0,))) -> LinearS
     bd_profiles : pair, optional
         Spatial shapes (b_d1, b_d2) of the two distributed disturbance
         channels, as callables on the panel domain or polynomial coefficient
-        sequences.  Defaults to the coefficients (1.0,), the constant 1, on
-        both panels, as RunConfig's bd1 and bd2 do.
+        sequences: the INI file's [simulation] keys (bd1, bd2).  Defaults to
+        the coefficients (1.0,), the constant 1, on both panels, as those
+        keys do.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -214,25 +210,16 @@ def assemble(p: PhysicalParams, N: int, bd_profiles=((1.0,), (1.0,))) -> LinearS
     )
 
 
-@dataclass(frozen=True)
-class InitialProfiles:
-    """Initial condition in physical variables.
-
-    Velocity profiles are in m/s on each panel's domain; moment profiles are
-    the initial bending moments.  ``hub_velocity`` is (linear, angular).
-    Profiles may be callables or polynomial coefficient sequences; None means
-    identically zero.
-    """
-
-    left_velocity: object = None
-    right_velocity: object = None
-    left_moment: object = None
-    right_moment: object = None
-    hub_velocity: tuple[float, float] = (0.0, 0.0)
-
-
-def project_initial_state(profiles: InitialProfiles, ss: LinearStateSpace) -> np.ndarray:
+def project_initial_state(ss: LinearStateSpace, *, left_velocity=None, right_velocity=None,
+                          left_moment=None, right_moment=None, hub_velocity=(0.0, 0.0)) -> np.ndarray:
     """Project physical initial data onto the discrete state.
+
+    The keywords are the INI file's [simulation] profile keys of the same
+    names (RunConfig.initial_profiles resolves a preset to them).  Velocity
+    profiles are in m/s on each panel's domain, moment profiles are the
+    initial bending moments, and hub_velocity is (linear, angular).  A
+    profile is a callable or a polynomial coefficient sequence in xi; None
+    is identically zero.
 
     Bending moments are converted to elastic coordinates through the
     stiffness-weighted projection (for polynomial moments of degree < N this
@@ -245,8 +232,8 @@ def project_initial_state(profiles: InitialProfiles, ss: LinearStateSpace) -> np
     p = ss.params
     x = np.zeros(ss.n)
     b = np.zeros(2 * N + 2)
-    moments = (profiles.left_moment, profiles.right_moment)
-    velocities = (profiles.left_velocity, profiles.right_velocity)
+    moments = (left_moment, right_moment)
+    velocities = (left_velocity, right_velocity)
     for i, basis, xi, w, V in _panels(ss.basis_left, ss.basis_right):
         if moments[i] is not None:
             # phi_j'' are orthogonal, so the stiffness-weighted projection is
@@ -256,7 +243,7 @@ def project_initial_state(profiles: InitialProfiles, ss: LinearStateSpace) -> np
             x[i * N : (i + 1) * N] = np.sqrt(ke) * (num / ke)
         if velocities[i] is not None:
             b += p.rho_a * V @ (w * _as_profile(velocities[i])(xi))
-    b[:2] += p.m * profiles.hub_velocity[0], p.I_m * profiles.hub_velocity[1]
+    b[:2] += p.m * hub_velocity[0], p.I_m * hub_velocity[1]
     x[2 * N :] = dtrsm(1.0, ss.chol, b[:, None], lower=1)[:, 0]
     return x
 

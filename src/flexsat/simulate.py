@@ -1,7 +1,7 @@
 """The signal generator, exact closed-loop integration, and error metrics.
 
 The reference y_ref and the disturbance w_d are constants plus sinusoids at
-one shared list of positive frequencies: the outputs of one exosystem
+the tracked frequencies the controllers take: the outputs of one exosystem
 vd = S v, which exosystem builds once.  The closed loop is autonomous once
 the generator is appended to the state, so trajectories are computed from a
 single matrix exponential, applied in 32-step blocks of its powers (phi^32 by
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .synthesis import ClosedLoopSystem
+from .synthesis import ClosedLoopSystem, internal_model
 
 LOG_FLOOR = 1e-14  # floor for log|e| in the decay-rate fit
 _BLOCK = 32  # grid steps filled by one matrix product in propagate_autonomous; a power of 2
@@ -43,16 +43,18 @@ class Exosystem:
 def exosystem(freqs, yref_const, wd_const,
               yref_cos=None, yref_sin=None, wd_cos=None, wd_sin=None) -> Exosystem:
     """The generator of y_ref = yref_const + sum_k (yref_cos[k] cos(w_k t) + yref_sin[k] sin(w_k t)),
-    and of w_d alike, at the strictly increasing positive frequencies freqs.
+    and of w_d alike, from the [signals] keys of the INI file as it writes them.
 
-    An offset has one entry per channel (2 for y_ref, 4 for w_d).  A
-    coefficient table has one row per frequency and one entry per channel;
-    None is the zero table, and with no frequency an empty table is the
-    (0, channels) table.  A malformed argument raises ValueError naming it.
+    freqs is the tracked-frequency list the controllers take, checked by
+    internal_model: nonnegative and strictly increasing, 0 standing for the
+    offsets, which must be zero unless 0 is listed.  An offset has one entry
+    per channel (2 for y_ref, 4 for w_d).  A coefficient table has one row
+    per positive frequency w_k and one entry per channel; None is the zero
+    table, and with no positive frequency an empty table is the (0, channels)
+    table.  A malformed argument raises ValueError naming it.
     """
-    freqs = tuple(float(f) for f in freqs)
-    if any(f <= 0.0 for f in freqs) or list(freqs) != sorted(set(freqs)):
-        raise ValueError(f"freqs must be strictly positive and increasing, got {freqs}")
+    blocks = internal_model(freqs).blocks
+    freqs = [f for f, _ in blocks if f]
     q = len(freqs)
     nw = 1 + 2 * q
     E = np.zeros((6, nw))
@@ -68,6 +70,8 @@ def exosystem(freqs, yref_const, wd_const,
             if len(table) != q or any(np.shape(row) != (dim,) for row in table):
                 raise ValueError(f"{signal}_{name} must have {q} rows of {dim} entries")
             E[rows, col::2] = np.reshape(table, (q, dim)).T
+    if blocks[0][0] and E[:, 0].any():  # the first block is 0's when 0 is listed
+        raise ValueError("a nonzero yref_const or wd_const needs 0 in frequencies to be tracked")
     S = np.zeros((nw, nw))
     k = np.arange(q)
     S[1 + 2 * k, 2 + 2 * k] = np.negative(freqs)

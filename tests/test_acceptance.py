@@ -128,7 +128,7 @@ def test_criterion_05_structural_identities(params, ss10, default_config, plant_
             wd_cos=[[0, 0, 0, 0], [0, 0, 0, 1.0]],
             wd_sin=[[0, 0, 1.0, 0], [0, 0, 0, 0]],
         )
-        x0 = fx.project_initial_state(default_config.initial_profiles(), ss10)
+        x0 = fx.project_initial_state(ss10, **default_config.initial_profiles())
         S, v0, E = exo.S, exo.v0, exo.E
         ne, nw = cl.n, S.shape[0]
         A_aug = np.zeros((ne + nw, ne + nw))

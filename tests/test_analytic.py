@@ -148,6 +148,20 @@ def test_transfer_beam_overflow_safe(params):
         assert np.isfinite(Pb[0, 0]) and np.isfinite(Pb[1, 1])
 
 
+def test_transfer_beam_overflow_raises():
+    # an overdamped panel overflows once |Im alpha| passes about 355.2, at
+    # gamma |w| / EI ~ 7.43e11 here; below it the result stays finite, past it
+    # transfer_beam raises naming w and gamma instead of warning
+    for omega in (1.0, -5.0):
+        below = fx.PhysicalParams(gamma=7.42e11 / abs(omega))
+        assert np.isfinite(fx.transfer_beam(omega, below)).all()
+        above = fx.PhysicalParams(gamma=7.44e11 / abs(omega))
+        with pytest.raises(RuntimeError, match=rf"omega = {omega!r}, gamma = {above.gamma!r}"):
+            fx.transfer_beam(omega, above)
+    with pytest.raises(RuntimeError, match="overflows"):
+        fx.plant_transfer(1.0, fx.PhysicalParams(gamma=1e12))
+
+
 def test_transfer_beam_conjugate_symmetry(params):
     for w in (0.2, 1.0, 5.0, 77.0):
         assert np.allclose(fx.transfer_beam(-w, params), np.conj(fx.transfer_beam(w, params)), atol=1e-12)

@@ -1,15 +1,21 @@
 """Command-line workflows: exit codes, file outputs, determinism."""
 
+import contextlib
 import gc
+import io
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
+import warnings
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flexsat import analysis, cli
 from flexsat.config import SWEEP_RANGES, RunConfig, config_to_ini, default_sweep_grid, load_config
@@ -150,6 +156,35 @@ def test_missing_config_file_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_empty_config_path_exits_2(tmp_path, capsys):
+    # an empty path names no file; it is refused, not read as "no --config"
+    for command in ("validate", "simulate"):
+        rc = cli.main(["--config", "", "--out", str(tmp_path / "x"), command])
+        captured = capsys.readouterr()
+        assert rc == 2, command
+        assert captured.out == ""
+        assert captured.err.startswith("config error: cannot read config file ''")
+        assert captured.err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
+
+
+def test_overflowing_closed_form_exits_1(tmp_path, capsys):
+    # at gamma = 1e12 the closed-form panel transfer overflows at w = 1 (gamma |w|
+    # past 7.43e11): validate and analyze stop with one line and no warning, and
+    # analyze writes nothing
+    path, _ = write_config(tmp_path, gamma=1e12)
+    out = tmp_path / "x"
+    for command in ("validate", "analyze"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["--config", str(path), "--out", str(out), command])
+        err = capsys.readouterr().err
+        assert rc == 1, command
+        assert err == ("runtime failure: the closed-form panel transfer overflows at omega = 1.0, "
+                       "gamma = 1000000000000.0\n"), command
+    assert not out.exists()
+
+
 def test_simulate_writes_outputs(tmp_path):
     path, cfg = write_config(tmp_path)
     out = tmp_path / "run"
@@ -213,7 +248,7 @@ def test_observer_margin_from_separation_structure(tmp_path, monkeypatch):
     assert cli.main(["--config", str(path), "--out", str(out),
                      "simulate", "--perturb", "gamma=0.9,m=1.1"]) == 0
     ss = analysis.plant_from_config(cfg)
-    ss_run = fx.assemble(cfg.physical().scaled(gamma=0.9, m=1.1), cfg.n_basis, cfg.bd_profiles())
+    ss_run = fx.assemble(cfg.physical().scaled(gamma=0.9, m=1.1), cfg.n_basis, (cfg.bd1, cfg.bd2))
     cl = fx.assemble_closed_loop(ss_run, analysis.controller_from_config(cfg, ss))
     assert margins[-1] == analysis.stability_margin(cl.Ae)
     assert np.loadtxt(out / "summary.csv", delimiter=",", skiprows=1)[0] == margins[-1]
@@ -474,6 +509,38 @@ def test_constant_offset_without_zero_frequency_exits_2(tmp_path, capsys):
     for command in ("validate", "simulate"):
         assert cli.main(["--config", str(path), "--out", str(tmp_path / "x"), command]) == 2, command
         assert "needs 0 in frequencies" in capsys.readouterr().err
+
+
+_PHYSICAL = ("rho", "a", "E", "I", "gamma", "m", "I_m")
+_SWEEPS = {"passive": ("c1", "1:4:3"), "observer": ("r0", "0.05:0.5:3")}
+
+
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(exponents=st.fixed_dictionaries({name: st.floats(-2.0, 2.0) for name in _PHYSICAL}),
+       N=st.integers(4, 40), kind=st.sampled_from(sorted(_SWEEPS)))
+def test_exit_codes_hold_across_the_parameter_box(exponents, N, kind):
+    # every command on a valid config ends in 0, 1 or 2 with no escaping
+    # exception or warning; a failing simulate, analyze or sweep says why in one
+    # line, and a failing validate shows its [fail] row (at some draws
+    # s_matrix_identity or transfer_oracle misses its bound)
+    base = load_config(REFERENCE_INI)
+    scaled = {name: getattr(base, name) * 10.0**u for name, u in exponents.items()}
+    param, grid = _SWEEPS[kind]
+    # analyze's 401-point resolvent scan dominates at large N, so it runs at N <= 16
+    runs = (("validate", N), ("simulate", N), ("analyze", min(N, 16)),
+            ("sweep", N, "--param", param, "--grid", grid))
+    with tempfile.TemporaryDirectory() as tmp:
+        for command, n_basis, *extra in runs:
+            path, _ = write_config(pathlib.Path(tmp), base, n_basis=n_basis, controller_kind=kind, **scaled)
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                rc = cli.main(["--config", str(path), "--out", os.path.join(tmp, "out"), command, *extra])
+            assert rc in (0, 1, 2), command
+            if command == "validate":
+                assert rc == 0 or (rc == 1 and "[fail]" in out.getvalue()), out.getvalue()
+            elif rc:
+                assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), err.getvalue()
 
 
 def test_analyze_writes_reports(tmp_path):

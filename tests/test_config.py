@@ -90,14 +90,17 @@ def test_reference_signals():
 
 
 def test_initial_profile_presets():
+    # each preset resolves to project_initial_state's keywords, the five profile keys
     zero = RunConfig(initial_profile="zero").initial_profiles()
-    assert zero.left_moment is None and zero.hub_velocity == (0.0, 0.0)
+    assert zero["left_moment"] is None and zero["hub_velocity"] == (0.0, 0.0)
     bent = RunConfig().initial_profiles()
+    assert set(bent) == {"left_moment", "right_moment"}
     xi = np.linspace(0.0, 1.0, 5)
-    assert np.allclose(bent.right_moment(xi), 4.0 * (1.0 - xi) ** 2, atol=1e-15)
-    assert np.allclose(bent.left_moment(-xi), 4.0 * (1.0 - xi) ** 2, atol=1e-15)
+    assert np.allclose(bent["right_moment"](xi), 4.0 * (1.0 - xi) ** 2, atol=1e-15)
+    assert np.allclose(bent["left_moment"](-xi), 4.0 * (1.0 - xi) ** 2, atol=1e-15)
     custom = RunConfig(initial_profile="custom", right_moment=(0.0, 1.0)).initial_profiles()
-    assert custom.right_moment == (0.0, 1.0)
+    assert custom["right_moment"] == (0.0, 1.0)
+    assert set(custom) == {"left_velocity", "right_velocity", "left_moment", "right_moment", "hub_velocity"}
 
 
 def test_validation_errors():

@@ -70,16 +70,16 @@ def test_basis_table_matches_series_bit_for_bit(n, side):
 
 def test_assembly_with_series_basis_is_bit_identical(params, monkeypatch):
     bd = ((1.0, -0.5, 2.0), lambda x: np.cos(3.0 * x))
-    profiles = fx.InitialProfiles(left_velocity=lambda x: np.sin(2.0 * x), right_velocity=(0.3, 0.0, -1.0),
-                                  left_moment=(1.0, 2.0, 0.0, -4.0), right_moment=lambda x: np.exp(-x),
-                                  hub_velocity=(0.7, -0.2))
+    profiles = dict(left_velocity=lambda x: np.sin(2.0 * x), right_velocity=(0.3, 0.0, -1.0),
+                    left_moment=(1.0, 2.0, 0.0, -4.0), right_moment=lambda x: np.exp(-x),
+                    hub_velocity=(0.7, -0.2))
     fields = ("A", "B", "Bd", "C", "damping", "stiffness", "chol")
 
     def run():
         out = []
         for N in (1, 4, 10, 40):
             ss = fx.assemble(params, N, bd)
-            out += [getattr(ss, name) for name in fields] + [fx.project_initial_state(profiles, ss)]
+            out += [getattr(ss, name) for name in fields] + [fx.project_initial_state(ss, **profiles)]
         return out
 
     table = run()
@@ -173,7 +173,7 @@ def test_elastic_spectrum_matches_characteristic_roots(params):
 
 
 def test_project_zero_profiles(ss10):
-    x0 = fx.project_initial_state(fx.InitialProfiles(), ss10)
+    x0 = fx.project_initial_state(ss10)
     assert np.array_equal(x0, np.zeros(ss10.n))
 
 
@@ -191,11 +191,11 @@ def test_project_moment_closed_form(params):
     # eta(xi) = ((1-xi)^4 - 1)/3 + 4 xi / 3; left mirrors it
     for N in (4, 6, 10):
         ss = fx.assemble(params, N)
-        prof = fx.InitialProfiles(
+        x0 = fx.project_initial_state(
+            ss,
             left_moment=lambda x: 4.0 * (1.0 + x) ** 2,
             right_moment=lambda x: 4.0 * (1.0 - x) ** 2,
         )
-        x0 = fx.project_initial_state(prof, ss)
         xi_r = np.linspace(0.0, 1.0, 33)
         eta_r = reconstruct_elastic(ss, x0, "right", xi_r)
         want_r = ((1.0 - xi_r) ** 4 - 1.0) / 3.0 + 4.0 * xi_r / 3.0
@@ -210,30 +210,25 @@ def test_project_moment_closed_form(params):
 def test_project_moment_energy(ss10):
     # elastic energy of the projected state: 0.5 * EI * int m^2 over both
     # panels = 16/5 + ... here int 16(1 -+ xi)^4 = 16/5 per panel
-    prof = fx.InitialProfiles(
+    x0 = fx.project_initial_state(
+        ss10,
         left_moment=lambda x: 4.0 * (1.0 + x) ** 2,
         right_moment=lambda x: 4.0 * (1.0 - x) ** 2,
     )
-    x0 = fx.project_initial_state(prof, ss10)
-    assert ss10.energy(x0) == pytest.approx(3.2, abs=1e-12)
-    assert ss10.energy(x0) == 0.5 * float(x0 @ x0)  # energy coordinates, bit for bit
+    assert 0.5 * float(x0 @ x0) == pytest.approx(3.2, abs=1e-12)  # energy coordinates
 
 
 def test_project_velocity_energy(params):
     # representable velocity field: right panel xi^2, rest at rest;
     # kinetic energy = 0.5 rho a int xi^4 = rho a / 10
     ss = fx.assemble(params, 6)
-    prof = fx.InitialProfiles(right_velocity=lambda x: x**2)
-    x0 = fx.project_initial_state(prof, ss)
-    assert ss.energy(x0) == pytest.approx(params.rho_a / 10.0, rel=1e-12)
+    x0 = fx.project_initial_state(ss, right_velocity=lambda x: x**2)
+    assert 0.5 * float(x0 @ x0) == pytest.approx(params.rho_a / 10.0, rel=1e-12)
     # consistent rigid field: hub at (2, 1), panels moving with it
     rigid = lambda x: 2.0 + x
-    prof2 = fx.InitialProfiles(
-        left_velocity=rigid, right_velocity=rigid, hub_velocity=(2.0, 1.0)
-    )
-    x2 = fx.project_initial_state(prof2, ss)
+    x2 = fx.project_initial_state(ss, left_velocity=rigid, right_velocity=rigid, hub_velocity=(2.0, 1.0))
     want = 0.5 * (params.m * 4.0 + params.I_m * 1.0) + 0.5 * params.rho_a * 26.0 / 3.0
-    assert ss.energy(x2) == pytest.approx(want, rel=1e-12)
+    assert 0.5 * float(x2 @ x2) == pytest.approx(want, rel=1e-12)
 
 
 def test_velocity_projects_as_distributed_disturbance():
@@ -244,10 +239,10 @@ def test_velocity_projects_as_distributed_disturbance():
     params = fx.PhysicalParams(rho=2.0, a=1.5, m=3.0, I_m=0.5)
     shape = (0.3, -1.0, 2.0)
     for N in (1, 4, 10, 20):
-        for col, bd, prof in ((0, (shape, None), fx.InitialProfiles(left_velocity=shape)),
-                              (1, (None, shape), fx.InitialProfiles(right_velocity=shape))):
+        for col, bd, prof in ((0, (shape, None), dict(left_velocity=shape)),
+                              (1, (None, shape), dict(right_velocity=shape))):
             ss = fx.assemble(params, N, bd)
-            got = fx.project_initial_state(prof, ss)
+            got = fx.project_initial_state(ss, **prof)
             want = params.rho_a * ss.Bd[2 * N :, col]
             assert np.max(np.abs(got[2 * N :] - want)) < 1e-12 * np.max(np.abs(want)), (N, col)
             assert not got[: 2 * N].any()
@@ -267,16 +262,16 @@ def _forward_substitution(L, b, dps=50):
 def test_velocity_projection_is_an_accurate_solve(params, N):
     # the velocity block solves L x = b for the momentum load b; multiplying b
     # by an explicit L^{-1} misses this bound (2.1e-12 at N = 20, 9.5e-12 at N = 40)
-    profiles = fx.InitialProfiles(left_velocity=lambda x: np.sin(2.0 * x), right_velocity=(0.3, 0.0, -1.0),
-                                  hub_velocity=(0.7, -0.2))
+    profiles = dict(left_velocity=lambda x: np.sin(2.0 * x), right_velocity=(0.3, 0.0, -1.0),
+                    hub_velocity=(0.7, -0.2))
     ss = fx.assemble(params, N)
     b = np.zeros(2 * N + 2)
     for i, _, xi, w, V in discretize._panels(ss.basis_left, ss.basis_right):
-        shape = discretize._as_profile((profiles.left_velocity, profiles.right_velocity)[i])
+        shape = discretize._as_profile(profiles[("left_velocity", "right_velocity")[i]])
         b += params.rho_a * V @ (w * shape(xi))
-    b[:2] += params.m * profiles.hub_velocity[0], params.I_m * profiles.hub_velocity[1]
+    b[:2] += params.m * profiles["hub_velocity"][0], params.I_m * profiles["hub_velocity"][1]
     want = _forward_substitution(ss.chol, b)
-    got = fx.project_initial_state(profiles, ss)[2 * N :]
+    got = fx.project_initial_state(ss, **profiles)[2 * N :]
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
@@ -304,7 +299,7 @@ def test_hub_velocity_enters_through_actuator_columns():
     h0, h1 = 0.7, -0.2
     for N in (1, 4, 10):
         ss = fx.assemble(params, N)
-        x0 = fx.project_initial_state(fx.InitialProfiles(hub_velocity=(h0, h1)), ss)
+        x0 = fx.project_initial_state(ss, hub_velocity=(h0, h1))
         want = ss.B[2 * N :] @ np.array([params.m * h0, params.I_m * h1])
         assert np.max(np.abs(x0[2 * N :] - want)) < 1e-13 * np.max(np.abs(want)), N
         assert not x0[: 2 * N].any()

@@ -14,7 +14,7 @@ from flexsat.config import RunConfig
 from flexsat.simulate import _augment
 
 REFERENCE_SIGNALS = dict(
-    freqs=(1.0, 2.0, 5.0),
+    freqs=(0.0, 1.0, 2.0, 5.0),
     yref_const=(1.0, 2.0),
     wd_const=(0.0, 0.0, 10.0, 15.0),
     yref_cos=[[3.0, 0.0], [0.0, 1.5], [0.0, 0.0]],
@@ -23,10 +23,11 @@ REFERENCE_SIGNALS = dict(
 
 
 def closed_form(t, freqs, const, cos=None, sin=None):
-    """const + sum_k (cos[k] cos(w_k t) + sin[k] sin(w_k t)) at scalar or array times t."""
+    """const + sum_k (cos[k] cos(w_k t) + sin[k] sin(w_k t)) at scalar or array times t,
+    w_k the positive entries of freqs."""
     t = np.asarray(t, dtype=float)
     out = np.tile(np.asarray(const, dtype=float), t.shape + (1,))
-    for k, w in enumerate(freqs):
+    for k, w in enumerate(f for f in freqs if f):
         for table, wave in ((cos, np.cos), (sin, np.sin)):
             if table is not None:
                 out += np.multiply.outer(wave(w * t), np.asarray(table[k], dtype=float))
@@ -53,16 +54,27 @@ def test_generator_reference_values():
 
 
 def test_generator_of_zero_signals():
-    exo = fx.exosystem((), np.zeros(2), np.zeros(4))
+    exo = fx.exosystem((0.0,), np.zeros(2), np.zeros(4))
     assert exo.S.shape == (1, 1) and np.array_equal(exo.v0, [1.0])
     assert np.array_equal(generated(exo, 3.2), np.zeros(6))
 
 
 def test_generator_validation():
-    with pytest.raises(ValueError, match="freqs"):
+    # the frequency list is the controllers' (internal_model's rules)
+    with pytest.raises(ValueError, match="strictly increasing"):
         fx.exosystem((2.0, 1.0), (0.0, 0.0), np.zeros(4))
-    with pytest.raises(ValueError, match="freqs"):
-        fx.exosystem((0.0, 1.0), (0.0, 0.0), np.zeros(4))
+    with pytest.raises(ValueError, match="nonnegative"):
+        fx.exosystem((-1.0, 1.0), (0.0, 0.0), np.zeros(4))
+    with pytest.raises(ValueError, match="nonempty"):
+        fx.exosystem((), (0.0, 0.0), np.zeros(4))
+    # listing 0 is valid, and with zero offsets the generator is the one without it, bit for bit
+    with_zero = fx.exosystem((0.0, 1.0), (0.0, 0.0), np.zeros(4))
+    without = fx.exosystem((1.0,), (0.0, 0.0), np.zeros(4))
+    for name in ("S", "v0", "E"):
+        assert np.array_equal(getattr(with_zero, name), getattr(without, name))
+    # an offset needs 0 listed
+    with pytest.raises(ValueError, match="needs 0 in frequencies"):
+        fx.exosystem((1.0,), (0.0, 0.0), (0.0, 0.0, 1.0, 0.0))
     with pytest.raises(ValueError, match="yref_cos"):
         fx.exosystem((1.0,), (0.0, 0.0), np.zeros(4), yref_cos=[[1.0, 2.0], [3.0, 4.0]])
     # a disturbance table built for another frequency list
@@ -78,7 +90,7 @@ def test_generator_validation():
 def test_generator_reproduces_closed_form():
     # the generator appended to the closed loop is the signal's closed form
     rng = np.random.default_rng(3)
-    freqs = (0.7, 1.0, 2.0, 5.0)
+    freqs = (0.0, 0.7, 1.0, 2.0, 5.0)
     yref = (rng.normal(size=2), rng.normal(size=(4, 2)), rng.normal(size=(4, 2)))
     wd = (rng.normal(size=4), rng.normal(size=(4, 4)), rng.normal(size=(4, 4)))
     exo = fx.exosystem(freqs, yref[0], wd[0], yref_cos=yref[1], yref_sin=yref[2],
@@ -92,7 +104,7 @@ def test_generator_reproduces_closed_form():
 def test_trace_error_is_output_minus_reference(request, default_config, trace):
     tr = request.getfixturevalue(trace)
     cfg = default_config
-    ref = closed_form(tr.t, cfg.positive_frequencies(), cfg.yref_const, cfg.yref_cos, cfg.yref_sin)
+    ref = closed_form(tr.t, cfg.frequencies, cfg.yref_const, cfg.yref_cos, cfg.yref_sin)
     assert np.abs(tr.e - (tr.y - ref)).max() <= 1e-10 * np.abs(ref).max()
 
 
@@ -230,7 +242,7 @@ def test_propagate_blocked_matches_step_loop(steps):
 
 def augmented_loop(cl, cfg):
     """Closed loop with the configured signal generator appended, and its initial state."""
-    x0 = fx.project_initial_state(cfg.initial_profiles(), cl.plant)
+    x0 = fx.project_initial_state(cl.plant, **cfg.initial_profiles())
     return _augment(cl, x0, cfg.exosystem())[:2]
 
 
@@ -262,10 +274,10 @@ def test_integrate_autonomous_energy_decay(ss10, default_config, plant_only_ctrl
     # plant alone, no inputs: energy is nonincreasing and strictly smaller at
     # the end (exponential stability of the assembled model)
     cl = fx.assemble_closed_loop(ss10, plant_only_ctrl)
-    x0 = fx.project_initial_state(default_config.initial_profiles(), ss10)
-    exo = fx.exosystem((), np.zeros(2), np.zeros(4))
+    x0 = fx.project_initial_state(ss10, **default_config.initial_profiles())
+    exo = fx.exosystem((0.0,), np.zeros(2), np.zeros(4))
     trace = fx.integrate(cl, x0, exo, 15.0, 0.005)
-    assert trace.energy[0] == pytest.approx(ss10.energy(x0), rel=1e-14)
+    assert trace.energy[0] == pytest.approx(0.5 * float(x0 @ x0), rel=1e-14)
     diffs = np.diff(trace.energy)
     assert np.all(diffs <= 1e-12 * trace.energy[0])
     assert trace.energy[-1] < trace.energy[0]
@@ -273,7 +285,7 @@ def test_integrate_autonomous_energy_decay(ss10, default_config, plant_only_ctrl
 
 
 def test_integrate_grid_invariance(passive_loop, default_config):
-    x0 = fx.project_initial_state(default_config.initial_profiles(), passive_loop.plant)
+    x0 = fx.project_initial_state(passive_loop.plant, **default_config.initial_profiles())
     exo = default_config.exosystem()
     tr1 = fx.integrate(passive_loop, x0, exo, 3.0, 0.01)
     tr2 = fx.integrate(passive_loop, x0, exo, 3.0, 0.005)
@@ -288,7 +300,7 @@ def test_halving_dt_does_not_move_the_samples(kind, N):
     cfg = RunConfig(controller_kind=kind, n_basis=N, t_final=5.0)
     ss = analysis.plant_from_config(cfg)
     cl = fx.assemble_closed_loop(ss, analysis.controller_from_config(cfg, ss))
-    x0 = fx.project_initial_state(cfg.initial_profiles(), ss)
+    x0 = fx.project_initial_state(ss, **cfg.initial_profiles())
     args = (cl, x0, cfg.exosystem(), cfg.t_final)
     t, e = simulate.tracking_error(*args, cfg.dt)
     t_fine, e_fine = simulate.tracking_error(*args, cfg.dt / 2)
@@ -308,7 +320,7 @@ def test_initial_state_is_the_plant_state(passive_loop, default_config):
     # the controller starts at rest: _augment appends its zero state and the
     # generator's, and a loop-length x0 is refused, naming the plant length
     exo = default_config.exosystem()
-    x0 = fx.project_initial_state(default_config.initial_profiles(), passive_loop.plant)
+    x0 = fx.project_initial_state(passive_loop.plant, **default_config.initial_profiles())
     _, x0_aug, error_map = _augment(passive_loop, x0, exo)
     assert np.array_equal(x0_aug, np.concatenate([x0, np.zeros(passive_loop.controller.n_c), exo.v0]))
     assert np.array_equal(error_map, np.hstack([passive_loop.Ce, passive_loop.De @ exo.E]))
@@ -333,7 +345,7 @@ def test_energy_balance_forced_run(ss10, default_config, plant_only_ctrl):
         wd_cos=[[0, 0, 0, 0], [0, 0, 0, 1.0]],
         wd_sin=[[0, 0, 1.0, 0], [0, 0, 0, 0]],
     )
-    x0 = fx.project_initial_state(default_config.initial_profiles(), ss10)
+    x0 = fx.project_initial_state(ss10, **default_config.initial_profiles())
     E = exo.E
     residuals = []
     for dt in (0.005, 0.0025):
@@ -347,7 +359,7 @@ def test_energy_balance_forced_run(ss10, default_config, plant_only_ctrl):
         supply = np.trapezoid(np.einsum("ij,ij->i", u_inj, y), t)
         dissip = np.trapezoid(np.einsum("ij,ij->i", vel, vel @ ss10.damping.T), t)
         residuals.append(abs(energy[-1] - energy[0] - supply + dissip))
-    scale = max(1.0, ss10.energy(x0))
+    scale = max(1.0, 0.5 * float(x0 @ x0))
     assert residuals[0] < 1e-5 * scale
     assert residuals[1] < 0.5 * residuals[0]  # trapezoid quadrature order
 
