@@ -135,6 +135,25 @@ def _as_profile(fn):
     return lambda x: np.polynomial.polynomial.polyval(x, coeffs)
 
 
+def _chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L^{-1} b for the lower Cholesky factor L, as a Fortran-ordered array.
+
+    One BLAS trsm call per column of b.  OpenBLAS threads trsm once the
+    right-hand side has 1024 entries (L^{-1} from N = 15 on), and that wakes
+    scipy's own BLAS pool, whose worker then competes with numpy's GEMM
+    threads: 4-8 ms per call for 32-82 rows on a 2-core VM, against
+    0.1-0.5 ms for all columns one by one on the calling thread.  trsm
+    solves each column on its own, so the entries are those of one call;
+    the Fortran order is the one that call returns, and the GEMMs that take
+    the result keep their bits only in that order.
+    """
+    L = np.asfortranarray(L)
+    x = np.empty(b.shape, order="F")
+    for j in range(b.shape[1]):
+        x[:, j] = dtrsm(1.0, L, b[:, j : j + 1], lower=1)[:, 0]
+    return x
+
+
 def assemble(p: PhysicalParams, N: int, bd_profiles=((1.0,), (1.0,))) -> LinearStateSpace:
     """Assemble the 4N + 2 dimensional state space for N basis functions per panel.
 
@@ -173,8 +192,7 @@ def assemble(p: PhysicalParams, N: int, bd_profiles=((1.0,), (1.0,))) -> LinearS
     D = p.gamma * gram
 
     L = np.linalg.cholesky(M)
-    # BLAS trsm, not solve_triangular: OpenBLAS's trtrs threads at every size and wakes scipy's own pool
-    W = dtrsm(1.0, L, np.eye(nc), lower=1)
+    W = _chol_solve(L, np.eye(nc))
 
     n = 4 * N + 2
     sk = np.sqrt(ke)
@@ -244,7 +262,7 @@ def project_initial_state(ss: LinearStateSpace, *, left_velocity=None, right_vel
         if velocities[i] is not None:
             b += p.rho_a * V @ (w * _as_profile(velocities[i])(xi))
     b[:2] += p.m * hub_velocity[0], p.I_m * hub_velocity[1]
-    x[2 * N :] = dtrsm(1.0, ss.chol, b[:, None], lower=1)[:, 0]
+    x[2 * N :] = _chol_solve(ss.chol, b[:, None])[:, 0]
     return x
 
 

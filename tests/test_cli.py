@@ -59,6 +59,25 @@ def test_validate_undamped_zero_eigenvalue_prints_unsigned(tmp_path, capsys):
     assert rows["dissipativity"].endswith("  top eigenvalue = 0.000e+00")
 
 
+def test_validate_oracle_failure_names_under_resolution(tmp_path, capsys):
+    # at rho = 1000 the panel modes sit sqrt(1000) times lower, so N = 10 no longer
+    # resolves the plant below omega = 5 and N = 40 does; the fail row says so and
+    # keeps the error as its last number, the pass row keeps its text
+    rows = {}
+    for N in (10, 40):
+        path, _ = write_config(tmp_path, load_config(REFERENCE_INI), rho=1000.0, n_basis=N)
+        rc = cli.main(["--config", str(path), "validate"])
+        out = capsys.readouterr().out
+        rows[N] = rc, next(line for line in out.splitlines() if line.split()[1] == "transfer_oracle")
+    rc, line = rows[10]
+    assert rc == 1
+    assert line == ("[fail] transfer_oracle              the Galerkin model does not resolve the plant"
+                    " at this n_basis, a larger one may: max rel error at N=10 = 1.742e-01")
+    _, line = rows[40]
+    assert line.startswith("[pass] transfer_oracle              max rel error at N=40 = ")
+    assert float(line.rsplit(" = ", 1)[1]) < 1e-9
+
+
 @pytest.mark.parametrize("kind", ["passive", "observer"])
 def test_validate_solves_sylvester_and_care_once(tmp_path, monkeypatch, capsys, kind):
     from flexsat import analysis, synthesis

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.linalg.blas import dtrsm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Legendre
@@ -68,18 +69,20 @@ def test_basis_table_matches_series_bit_for_bit(n, side):
         assert np.array_equal(basis.eval(xi, order), ref.eval(xi, order)), order
 
 
+_PROFILES = dict(left_velocity=lambda x: np.sin(2.0 * x), right_velocity=(0.3, 0.0, -1.0),
+                 left_moment=(1.0, 2.0, 0.0, -4.0), right_moment=lambda x: np.exp(-x),
+                 hub_velocity=(0.7, -0.2))
+
+
 def test_assembly_with_series_basis_is_bit_identical(params, monkeypatch):
     bd = ((1.0, -0.5, 2.0), lambda x: np.cos(3.0 * x))
-    profiles = dict(left_velocity=lambda x: np.sin(2.0 * x), right_velocity=(0.3, 0.0, -1.0),
-                    left_moment=(1.0, 2.0, 0.0, -4.0), right_moment=lambda x: np.exp(-x),
-                    hub_velocity=(0.7, -0.2))
     fields = ("A", "B", "Bd", "C", "damping", "stiffness", "chol")
 
     def run():
         out = []
         for N in (1, 4, 10, 40):
             ss = fx.assemble(params, N, bd)
-            out += [getattr(ss, name) for name in fields] + [fx.project_initial_state(ss, **profiles)]
+            out += [getattr(ss, name) for name in fields] + [fx.project_initial_state(ss, **_PROFILES)]
         return out
 
     table = run()
@@ -283,6 +286,47 @@ def test_realization_matches_reference_triangular_solve(params, N):
     assert np.array_equal(ss.B[2 * N :], W_ref[:, :2])
     assert np.array_equal(ss.C[:, 2 * N :], W_ref[:, :2].T)
     assert np.array_equal(ss.A[: 2 * N, 2 * N :], (W_ref[:, 2:] * np.sqrt(ss.stiffness)).T)
+
+
+def _one_trsm_call(L, b):
+    """L^{-1} b in one BLAS call over every column: the reference _chol_solve must match bit for bit."""
+    return dtrsm(1.0, L, b, lower=1)
+
+
+@pytest.mark.parametrize("N", [4, 10, 16, 20, 40, 80])
+def test_columnwise_triangular_solve_keeps_every_bit(params, N, monkeypatch):
+    # from N = 15 on, L^{-1}'s right-hand side has 1024 entries or more, and one
+    # trsm call over it runs on OpenBLAS's threaded path; per column it gives the
+    # same entries, and W must keep that call's Fortran order, or W @ D @ W.T
+    # takes another GEMM path and moves A and damping
+    bd = ((1.0, -0.5, 2.0), lambda x: np.cos(3.0 * x))
+    fields = ("A", "B", "Bd", "C", "damping", "chol")
+    columnwise = fx.assemble(params, N, bd)
+    monkeypatch.setattr(discretize, "_chol_solve", _one_trsm_call)
+    one_call = fx.assemble(params, N, bd)
+    for name in fields:
+        assert np.array_equal(getattr(columnwise, name), getattr(one_call, name)), name
+
+
+def test_columnwise_velocity_solve_keeps_every_bit(params, monkeypatch):
+    ss = fx.assemble(params, 20)
+    columnwise = fx.project_initial_state(ss, **_PROFILES)
+    monkeypatch.setattr(discretize, "_chol_solve", _one_trsm_call)
+    assert np.array_equal(columnwise, fx.project_initial_state(ss, **_PROFILES))
+
+
+def test_triangular_solves_take_one_column_per_call(params, monkeypatch):
+    # one column of 2N + 2 rows stays below OpenBLAS's 1024-entry threading threshold
+    shapes = []
+
+    def record(alpha, a, b, **kwargs):
+        shapes.append(b.shape)
+        return dtrsm(alpha, a, b, **kwargs)
+
+    monkeypatch.setattr(discretize, "dtrsm", record)
+    ss = fx.assemble(params, 40)
+    fx.project_initial_state(ss, **_PROFILES)
+    assert shapes == [(82, 1)] * 83
 
 
 def test_assembly_does_not_call_solve_triangular(params, monkeypatch):
