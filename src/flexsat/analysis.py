@@ -12,6 +12,7 @@ controller parameter at a time, recording margin and integrated squared
 tracking error per grid point, with failed points flagged, not fatal.
 """
 
+from contextlib import suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -209,8 +210,9 @@ def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
     and carry NaN metrics; the sweep always completes.  Work that depends on
     the plant and signals alone (initial state, exosystem, observer
     Sylvester solution, and with it the plant's cached margin) is done once;
-    a point's margin is its loop's ClosedLoopSystem.margin, and a stable point
-    integrates ||e||^2 over its tracking error (tracking_error).
+    if that solve fails, each point's own build fails the same way and is
+    flagged.  A point's margin is its loop's ClosedLoopSystem.margin, and a
+    stable point integrates ||e||^2 over its tracking error (tracking_error).
     The points run in order: each one's work is multithreaded BLAS calls, so
     running points on threads of their own measured slower, not faster.
     """
@@ -226,22 +228,16 @@ def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
     exo = cfg.exosystem()
     H = None
     if cfg.controller_kind == "observer":
-        try:
+        with suppress(RuntimeError, ValueError):  # else each point's own solve fails and is flagged
             H, _ = solve_sylvester_H(ss, cfg.frequencies)
-        except (RuntimeError, ValueError):
-            nan = np.full(grid.size, np.nan)
-            return SweepResult(parameter, grid, nan, nan.copy(), np.zeros(grid.size, dtype=bool))
 
     def run_point(point: RunConfig):
-        try:
-            ctrl = controller_from_config(point, ss, H)
-            cl = assemble_closed_loop(ss, ctrl)
-            if cl.margin <= 0.0:
-                return np.nan, np.nan, False
-            t, e = tracking_error(cl, x0_plant, exo, cfg.t_final, cfg.dt)
-            return cl.margin, integrated_square_error(t, e), True
-        except (RuntimeError, ValueError):
-            return np.nan, np.nan, False
+        with suppress(RuntimeError, ValueError):
+            cl = assemble_closed_loop(ss, controller_from_config(point, ss, H))
+            if cl.margin > 0.0:
+                t, e = tracking_error(cl, x0_plant, exo, cfg.t_final, cfg.dt)
+                return cl.margin, integrated_square_error(t, e), True
+        return np.nan, np.nan, False
 
     rows = [run_point(p) for p in points]
     margin = np.array([r[0] for r in rows])

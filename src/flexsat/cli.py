@@ -16,6 +16,7 @@ import argparse
 import gc
 import os
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .config import (
     load_config,
     write_manifest,
 )
-from .discretize import assemble
 from .simulate import error_metrics, write_csv
 from .synthesis import assemble_closed_loop
 
@@ -108,13 +108,12 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, perturb: dict | None) -> int:
     ss = analysis.plant_from_config(cfg)
     ctrl = analysis.controller_from_config(cfg, ss)
     if perturbed is not None:  # the controller keeps its design plant, so the loop's margin is a full eig
-        ss = assemble(perturbed, cfg.n_basis, (cfg.bd1, cfg.bd2))
+        ss = analysis.plant_from_config(replace(cfg, **asdict(perturbed)))
         print("plant perturbed:", ", ".join(f"{k} x {v}" for k, v in perturb.items()))
     cl = assemble_closed_loop(ss, ctrl)
     margin = cl.margin
     if margin <= 0.0:
-        print(f"closed loop unstable: stability margin = {margin:.6e}", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise RuntimeError(f"closed loop unstable: stability margin = {margin:.6e}")
 
     trace = analysis.simulate_from_config(cfg, cl)
     metrics = error_metrics(trace)

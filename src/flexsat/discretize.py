@@ -170,9 +170,6 @@ def assemble(p: PhysicalParams, N: int, bd_profiles=((1.0,), (1.0,))) -> LinearS
         the coefficients (1.0,), the constant 1, on both panels, as those
         keys do.
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-
     nc = 2 + 2 * N
     basis_l = build_basis(N, "left")
     basis_r = build_basis(N, "right")

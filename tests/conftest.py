@@ -1,5 +1,9 @@
 """Shared fixtures: the reference configuration and its assembled systems."""
 
+import ctypes
+import glob
+import os
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,20 @@ from flexsat import analysis
 from flexsat.config import RunConfig
 
 FREQS = (0.0, 1.0, 2.0, 5.0)
+
+
+def pytest_report_header(config):
+    """numpy's OpenBLAS kernel and thread count: the bit-identity tests hold under SkylakeX only."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs", "*openblas*")):
+        try:
+            lib = ctypes.CDLL(path)
+            corename = lib.scipy_openblas_get_corename64_
+            threads = lib.scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype, threads.restype = ctypes.c_char_p, ctypes.c_int
+        return f"OpenBLAS: core {corename().decode()}, {threads()} threads"
+    return "OpenBLAS: no numpy-bundled library found"
 
 
 @pytest.fixture(scope="session")

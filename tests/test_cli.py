@@ -152,21 +152,25 @@ def test_linear_algebra_failure_exits_1(tmp_path, monkeypatch, capsys):
 
 
 def test_refused_config_prints_nothing(tmp_path, capsys):
-    # refused on load: a negative seed used to fail validate after five check
-    # rows, and a t_final that is no whole multiple of dt ended the run early;
-    # a wrong-length offset names its key
+    # refused before any work, with one config error line: a negative seed used
+    # to fail validate after five check rows, and a t_final that is no whole
+    # multiple of dt ended the run early; a wrong-length offset names its key
     path = tmp_path / "bad.ini"
     for text, command, message in (("[output]\nseed = -1\n", "validate", "seed"),
                                    ("[simulation]\nt_final = 1.0\ndt = 0.4\n", "simulate", "end at 0.8"),
                                    ("[simulation]\nt_final = 0.35\ndt = 0.1\n", "simulate", "whole multiple"),
                                    ("[signals]\nyref_const = 1.0\n", "validate", "yref_const"),
                                    ("[signals]\nwd_const = 0.0 0.0 0.0\n", "validate", "wd_const"),
-                                   ("[simulation]\nhub_velocity = 0.0\n", "validate", "hub_velocity")):
+                                   ("[simulation]\nhub_velocity = 0.0\n", "validate", "hub_velocity"),
+                                   ("[discretization]\nn_basis = 0\n", "validate", "n_basis must be >= 1, got 0"),
+                                   ("[physical]\ngamma = -1.0\n", "validate", "gamma must be nonnegative, got -1.0"),
+                                   ("", "simulate --perturb gamma=abc", "bad perturbation factor in 'gamma=abc'")):
         path.write_text(text)
-        rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"), command])
+        rc = cli.main(["--config", str(path), "--out", str(tmp_path / "x"), *command.split()])
         captured = capsys.readouterr()
         assert rc == 2, text
         assert captured.out == "" and message in captured.err, text
+        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1, text
     assert not (tmp_path / "x").exists()
 
 
@@ -339,11 +343,28 @@ def test_simulate_bad_perturbation_exits_2(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+def test_simulate_unstable_perturbed_loop_exits_1(tmp_path, capsys):
+    # halving E destabilizes the observer loop, whose controller carries the design
+    # plant; the passive loop needs no plant model and stays stable.  The unstable
+    # loop is main's one runtime-failure line, and no output directory is made
+    observer, _ = write_config(tmp_path, load_config(REFERENCE_INI), controller_kind="observer")
+    out = tmp_path / "observer"
+    rc = cli.main(["--config", str(observer), "--out", str(out), "simulate", "--perturb", "E=0.5"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "runtime failure: closed loop unstable: stability margin = -5.050022e-02\n"
+    assert not out.exists()
+    out = tmp_path / "passive"
+    rc = cli.main(["--config", str(REFERENCE_INI), "--out", str(out), "simulate", "--perturb", "E=0.5"])
+    assert rc == 0
+    margin = np.loadtxt(out / "summary.csv", delimiter=",", skiprows=1)[0]
+    assert margin == pytest.approx(0.07371, abs=5e-6)
+
+
 def test_unusable_output_path_exits_2(tmp_path, monkeypatch, capsys):
     # an output path that cannot be made a directory is a usage error, refused before any model is built
     assembled = []
-    for module in (analysis, cli):
-        monkeypatch.setattr(module, "assemble", lambda *a, **k: assembled.append(a))
+    monkeypatch.setattr(analysis, "assemble", lambda *a, **k: assembled.append(a))
     blocker = tmp_path / "file"
     blocker.write_text("")
     short, _ = write_config(tmp_path, t_final=0.5)
@@ -407,6 +428,26 @@ def test_sweep_log_grid(tmp_path):
     lines = (out / "sweep_c1.csv").read_text().splitlines()
     assert len(lines) == 4
     assert float(lines[2].split(",")[1]) == pytest.approx(2.0, rel=1e-12)
+
+
+def test_observer_sweep_flags_a_failed_point(tmp_path, capsys):
+    # at r0 = 1e-12 the Riccati residual (2.994e-04 under OpenBLAS's SkylakeX kernel,
+    # 1.751e-04 under Haswell) exceeds its bound: that point alone reads nan, nan, 0,
+    # and every other row equals its one-point sweep
+    path, cfg = write_config(tmp_path, load_config(REFERENCE_INI), controller_kind="observer")
+    with pytest.raises(RuntimeError, match=r"relative Riccati residual \S+ exceeds 1\.0e-08"):
+        analysis.controller_from_config(replace(cfg, r0=1e-12), analysis.plant_from_config(cfg))
+    grid_text = "1e-12:0.1:3:log"
+    rc = cli.main(["--config", str(path), "--out", str(tmp_path / "s"),
+                   "sweep", "--param", "r0", "--grid", grid_text])
+    assert rc == 0
+    assert capsys.readouterr().out.endswith("(3 points, 1 unstable/failed)\n")
+    rows = (tmp_path / "s" / "sweep_r0.csv").read_text().splitlines()[1:]
+    assert rows[0].endswith(",nan,nan,0")
+    for value, row in zip(default_sweep_grid(cfg, "r0", grid_text)[1:], rows[1:], strict=True):
+        analysis.sweep(cfg, "r0", [value]).to_csv(tmp_path / "one.csv")
+        assert (tmp_path / "one.csv").read_text().splitlines()[1] == row
+        assert row.endswith(",1")
 
 
 def test_sweep_empty_grid_exits_2(tmp_path):

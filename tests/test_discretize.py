@@ -99,6 +99,12 @@ def test_basis_rejects_bad_input():
         build_basis(3, "middle")
 
 
+def test_assemble_refuses_empty_basis_through_build_basis(params):
+    # build_basis holds the one N >= 1 check
+    with pytest.raises(ValueError, match=r"^need at least one basis function, got 0$"):
+        fx.assemble(params, 0)
+
+
 def test_state_dimension(params):
     for N in (1, 4, 10):
         assert fx.assemble(params, N).n == 4 * N + 2

@@ -226,8 +226,12 @@ def test_care_newton_step_refines_schur_solution(ss10, monkeypatch):
 
 
 def test_care_rejects_unstabilizable():
-    with pytest.raises(RuntimeError):
+    # an unreachable unstable mode leaves U1 singular; with A = 0 and B = 0 the
+    # Hamiltonian has no stable eigenvalue at all
+    with pytest.raises(RuntimeError, match="singular Schur basis block"):
         fx.care_solve(np.diag([1.0, 2.0]), np.array([[1.0], [0.0]]), np.eye(2), np.eye(1))
+    with pytest.raises(RuntimeError, match=r"\(A, B\) appears unstabilizable: .* dimension 0, expected 2"):
+        fx.care_solve(np.zeros((2, 2)), np.zeros((2, 1)), np.eye(2), np.eye(1))
 
 
 # --- observer controller --------------------------------------------------------
