@@ -5,7 +5,8 @@ per row of ``flexsat validate``, which only prints them.  A margin belongs to
 its system (LinearStateSpace.margin, ClosedLoopSystem.margin), which computes
 it on first use and caches it; stability_margin is re-exported from
 discretize.  Every command and sweep point builds its controller with
-controller_from_config.
+controller_from_config, and the plant keeps each regulator solution it was
+solved for (synthesis.solve_sylvester_H).
 Resolvent norms are sampled along the imaginary axis as the reciprocal
 smallest singular value of the shifted state matrix.  Sweeps vary one
 controller parameter at a time, recording margin and integrated squared
@@ -76,11 +77,11 @@ def plant_from_config(cfg: RunConfig) -> LinearStateSpace:
     return assemble(cfg.physical(), cfg.n_basis, (cfg.bd1, cfg.bd2))
 
 
-def controller_from_config(cfg: RunConfig, ss: LinearStateSpace, H=None) -> ControllerRealization:
-    """The configured controller for plant ss; H is an observer's Sylvester solution, if solved."""
+def controller_from_config(cfg: RunConfig, ss: LinearStateSpace) -> ControllerRealization:
+    """The configured controller for plant ss; an observer reads ss's recorded Sylvester solution."""
     if cfg.controller_kind == "passive":
         return build_passive_controller(cfg.frequencies, cfg.c1, cfg.c2)
-    return build_observer_controller(ss, cfg.frequencies, cfg.q0, cfg.r0, H)
+    return build_observer_controller(ss, cfg.frequencies, cfg.q0, cfg.r0)
 
 
 def simulate_from_config(cfg: RunConfig, cl: ClosedLoopSystem) -> SimulationTrace:
@@ -163,11 +164,10 @@ def validation_checks(cfg: RunConfig):
         res = max(res, float(np.abs(ident - np.eye(2)).max()))
     yield Check("s_matrix_identity", "pass" if res < 1e-12 else "fail", res, f"max residual = {res:.3e}")
 
-    # one observer build: its solvers raise on a residual over their bound,
-    # so these rows report the residuals they accepted; on an observer
-    # config it is also the controller of the closed loop
-    H, syl = solve_sylvester_H(ss, cfg.frequencies)
-    observer = build_observer_controller(ss, cfg.frequencies, cfg.q0, cfg.r0, H)
+    # one observer build, from the H the solve recorded on ss: the solvers raise over their bound, so
+    # these rows report the residuals they accepted; on an observer config it is the loop's controller
+    _, syl = solve_sylvester_H(ss, cfg.frequencies)
+    observer = build_observer_controller(ss, cfg.frequencies, cfg.q0, cfg.r0)
     care = observer.care_residual
     yield Check("sylvester_residual", "pass", syl, f"relative residual = {syl:.3e}")
     yield Check("care_residual", "pass", care, f"relative residual = {care:.3e}")
@@ -207,12 +207,12 @@ def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
     and every grid value must make a valid RunConfig (a gain is positive and
     finite), else the sweep raises ConfigError before any point runs.
     Unstable closed loops and synthesis failures are flagged in ``stable``
-    and carry NaN metrics; the sweep always completes.  Work that depends on
-    the plant and signals alone (initial state, exosystem, observer
-    Sylvester solution, and with it the plant's cached margin) is done once;
-    if that solve fails, each point's own build fails the same way and is
-    flagged.  A point's margin is its loop's ClosedLoopSystem.margin, and a
-    stable point integrates ||e||^2 over its tracking error (tracking_error).
+    and carry NaN metrics; the sweep always completes.  The points share the
+    initial state, exosystem and plant, and the plant keeps its margin and each
+    regulator solution it was solved for: an observer's first point solves it,
+    and if that solve fails each point's build fails the same way and is flagged.
+    A point's margin is its loop's ClosedLoopSystem.margin, and a stable
+    point integrates ||e||^2 over its tracking error (tracking_error).
     The points run in order: each one's work is multithreaded BLAS calls, so
     running points on threads of their own measured slower, not faster.
     """
@@ -226,14 +226,10 @@ def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
     ss = plant_from_config(cfg)
     x0_plant = project_initial_state(ss, **cfg.initial_profiles())
     exo = cfg.exosystem()
-    H = None
-    if cfg.controller_kind == "observer":
-        with suppress(RuntimeError, ValueError):  # else each point's own solve fails and is flagged
-            H, _ = solve_sylvester_H(ss, cfg.frequencies)
 
     def run_point(point: RunConfig):
         with suppress(RuntimeError, ValueError):
-            cl = assemble_closed_loop(ss, controller_from_config(point, ss, H))
+            cl = assemble_closed_loop(ss, controller_from_config(point, ss))
             if cl.margin > 0.0:
                 t, e = tracking_error(cl, x0_plant, exo, cfg.t_final, cfg.dt)
                 return cl.margin, integrated_square_error(t, e), True

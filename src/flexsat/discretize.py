@@ -28,7 +28,7 @@ on B_w, a hub velocity enters through the actuator columns, and the velocity
 block is that load solved against L.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -120,6 +120,7 @@ class LinearStateSpace:
     damping: np.ndarray       # velocity-block damping in state coordinates
     stiffness: np.ndarray     # diagonal of the elastic stiffness Gram
     chol: np.ndarray          # lower Cholesky factor L, M = L L^T; initial data are solved against it
+    regulator: dict = field(default_factory=dict, init=False, repr=False)  # see synthesis.solve_sylvester_H
 
     @cached_property
     def margin(self) -> float:

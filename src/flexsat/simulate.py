@@ -53,8 +53,8 @@ def exosystem(freqs, yref_const, wd_const,
     table, and with no positive frequency an empty table is the (0, channels)
     table.  A malformed argument raises ValueError naming it.
     """
-    blocks = internal_model(freqs).blocks
-    freqs = [f for f, _ in blocks if f]
+    tracked = internal_model(freqs).frequencies
+    freqs = [f for f in tracked if f]
     q = len(freqs)
     nw = 1 + 2 * q
     E = np.zeros((6, nw))
@@ -70,7 +70,7 @@ def exosystem(freqs, yref_const, wd_const,
             if len(table) != q or any(np.shape(row) != (dim,) for row in table):
                 raise ValueError(f"{signal}_{name} must have {q} rows of {dim} entries")
             E[rows, col::2] = np.reshape(table, (q, dim)).T
-    if blocks[0][0] and E[:, 0].any():  # the first block is 0's when 0 is listed
+    if tracked[0] and E[:, 0].any():  # 0 comes first when it is listed
         raise ValueError("a nonzero yref_const or wd_const needs 0 in frequencies to be tracked")
     S = np.zeros((nw, nw))
     k = np.arange(q)

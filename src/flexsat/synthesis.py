@@ -12,8 +12,9 @@ algebraic Riccati equation and its coupling from the regulator (Sylvester)
 equation G1 H = H A + G2 C of the real rotation-block internal model, solved
 with one shifted solve of the plant per tracked frequency.
 Both solvers hand on the figures their checks accepted: solve_sylvester_H
-returns its residual with H, and the realization of build_observer_controller,
-the one observer construction, carries care_solve's residual and servo margin.
+returns (H, residual) and records it on the plant, which keeps each regulator
+solution it was solved for; build_observer_controller, the one observer
+construction, reads H there and carries care_solve's residual and servo margin.
 """
 
 from dataclasses import dataclass
@@ -46,6 +47,7 @@ class InternalModel:
     G1: np.ndarray
     blocks: tuple  # (frequency, slice) per block
     dim: int
+    frequencies: tuple  # the blocks' frequencies, the key of a plant's regulator record
 
 
 def internal_model(freqs) -> InternalModel:
@@ -66,7 +68,7 @@ def internal_model(freqs) -> InternalModel:
     for f, sl in blocks:
         if f:  # a zero block of G1 stays zero
             G1[sl, sl] = f * _ROTATION
-    return InternalModel(G1=G1, blocks=tuple(blocks), dim=k)
+    return InternalModel(G1=G1, blocks=tuple(blocks), dim=k, frequencies=tuple(freqs.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,8 +132,8 @@ def solve_sylvester_H(ss: LinearStateSpace, freqs) -> tuple[np.ndarray, float]:
     of H follow its blocks.  With R_w = C (i w I - A)^{-1}, one shifted solve per
     tracked frequency, the zero block is Re R_0 and each rotation block stacks
     sqrt(2) Im R_w over sqrt(2) Re R_w.  The plant must be exponentially stable
-    so that every shift is regular.  Returns (H, residual): residual is the
-    sylvester_residual of H that the bound check accepted.
+    so that every shift is regular.  Returns (H, residual), the residual being the
+    sylvester_residual its bound check accepted; only such a pair is recorded in ss.regulator.
     """
     if ss.margin <= 0.0:
         raise RuntimeError(f"plant must be exponentially stable (stability margin {ss.margin:.3e})")
@@ -148,6 +150,7 @@ def solve_sylvester_H(ss: LinearStateSpace, freqs) -> tuple[np.ndarray, float]:
             f"relative Sylvester residual {residual:.3e} exceeds {SYLVESTER_RESIDUAL_RTOL:.1e} "
             f"(worst shift condition number {worst:.3e})"
         )
+    ss.regulator[im.frequencies] = H, residual
     return H, residual
 
 
@@ -221,12 +224,12 @@ def care_solve(A, B, Q, R):
     return P, K, res, margin
 
 
-def build_observer_controller(ss: LinearStateSpace, freqs, q0: float, r0: float, H=None) -> ControllerRealization:
+def build_observer_controller(ss: LinearStateSpace, freqs, q0: float, r0: float) -> ControllerRealization:
     """Observer-based internal-model controller from the Sylvester solution H.
 
-    H is the solution solve_sylvester_H(ss, freqs) returns (its residual is
-    not kept here); it depends on the plant alone and is solved here when not
-    given.  The servocompensator is the real rotation-block internal model
+    H is read from the plant, which keeps each regulator solution it was solved
+    for, and solved here (solve_sylvester_H) only when ss has no record for
+    freqs.  The servocompensator is the real rotation-block internal model
     driven by the tracking error; its stabilizing gain K1 makes G1 + B1 K1
     Hurwitz via the Riccati equation with weights q0 I and r0 I (the Riccati
     gain enters with a plus sign here, so the conventional sign is flipped).
@@ -234,9 +237,8 @@ def build_observer_controller(ss: LinearStateSpace, freqs, q0: float, r0: float,
     """
     if q0 <= 0.0 or r0 <= 0.0:
         raise ValueError(f"q0 and r0 must be positive, got q0={q0!r}, r0={r0!r}")
-    if H is None:
-        H, _ = solve_sylvester_H(ss, freqs)
     im = internal_model(freqs)
+    H, _ = ss.regulator.get(im.frequencies) or solve_sylvester_H(ss, freqs)
     B1 = H @ ss.B
     # every B1 block is a transfer-function value; they must be nonsingular
     for f, sl in im.blocks:
@@ -321,9 +323,9 @@ def regulation_zero_check(cl: ClosedLoopSystem, freqs) -> dict:
     """
     if cl.margin <= 0.0:
         raise RuntimeError(f"closed loop is not stable (stability margin {cl.margin:.3e})")
-    tracked = [f for f, _ in internal_model(freqs).blocks]
+    tracked = internal_model(freqs).frequencies
     out = {}
-    for w in [-f for f in reversed(tracked) if f] + tracked:
+    for w in [-f for f in reversed(tracked) if f] + list(tracked):
         G = cl.Ce @ shifted_solve(cl.Ae, w, cl.Be) + cl.De
         out[w] = float(np.linalg.norm(G, 2))
     return out

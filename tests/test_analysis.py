@@ -232,8 +232,7 @@ def test_sweep_solves_sylvester_once(default_config, monkeypatch, kind, paramete
 def _observer_point(cfg):
     """Plant, controller and closed loop of an observer config, built point by point."""
     ss = analysis.plant_from_config(cfg)
-    H, _ = fx.solve_sylvester_H(ss, cfg.frequencies)
-    ctrl = fx.build_observer_controller(ss, cfg.frequencies, cfg.q0, cfg.r0, H)
+    ctrl = fx.build_observer_controller(ss, cfg.frequencies, cfg.q0, cfg.r0)
     return ss, ctrl, fx.assemble_closed_loop(ss, ctrl)
 
 

@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg as sla
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flexsat as fx
-from flexsat import synthesis
+from flexsat import simulate, synthesis
+from flexsat.config import RunConfig
 from flexsat.synthesis import (
     CARE_RESIDUAL_RTOL,
     SYLVESTER_RESIDUAL_RTOL,
@@ -234,6 +236,13 @@ def test_care_rejects_unstabilizable():
         fx.care_solve(np.zeros((2, 2)), np.zeros((2, 1)), np.eye(2), np.eye(1))
 
 
+def test_care_rejects_an_indefinite_solution():
+    # Q = -0.5 < 0: the stabilizing root of -2 P - P^2 - 0.5 = 0 is P = -1 + sqrt(0.5),
+    # which meets the residual bound and makes A - B K stable, but is negative
+    with pytest.raises(RuntimeError, match="Riccati solution is not positive semidefinite"):
+        fx.care_solve(np.array([[-1.0]]), np.array([[1.0]]), np.array([[-0.5]]), np.array([[1.0]]))
+
+
 # --- observer controller --------------------------------------------------------
 
 
@@ -290,6 +299,62 @@ def test_observer_refuses_bad_gains_before_any_solve(monkeypatch):
         fx.build_observer_controller(ss0, FREQS, 10.0, 0.0)
 
 
+def _counting_shifted_solves(monkeypatch):
+    """The list that grows by one per shifted_solve of synthesis."""
+    calls = []
+    solve = synthesis.shifted_solve
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(synthesis, "shifted_solve", counting)
+    return calls
+
+
+def test_plant_keeps_its_regulator_solution(monkeypatch):
+    # the first build solves G1 H = H A + G2 C, one shifted solve per tracked
+    # frequency, and records (H, residual) on the plant; later builds read it
+    calls = _counting_shifted_solves(monkeypatch)
+    ss = fx.assemble(fx.PhysicalParams(), 6)
+    first = fx.build_observer_controller(ss, FREQS, 10.0, 0.1)
+    assert len(calls) == len(FREQS)
+    key = fx.internal_model(FREQS).frequencies
+    assert list(ss.regulator) == [key]
+    H, residual = ss.regulator[key]
+    assert residual == sylvester_residual(ss, FREQS, H) < SYLVESTER_RESIDUAL_RTOL
+    calls.clear()
+    again = fx.build_observer_controller(ss, (-0.0, 1.0, 2.0, 5.0), 10.0, 0.1)  # -0.0 is 0.0
+    other = fx.build_observer_controller(ss, FREQS, 1.0, 0.5)
+    assert calls == []
+    nz = fx.internal_model(FREQS).dim
+    assert np.array_equal(other.K[:, nz:], other.K[:, :nz] @ H)  # K2 = K1 H, from the record
+    # the recorded H gives the bits a fresh solve on an equal plant gives
+    fresh = fx.build_observer_controller(fx.assemble(fx.PhysicalParams(), 6), FREQS, 10.0, 0.1)
+    for name in ("G1", "G2", "K"):
+        assert np.array_equal(getattr(again, name), getattr(first, name))
+        assert np.array_equal(getattr(fresh, name), getattr(first, name))
+    # another frequency list is another regulator equation, solved and recorded apart
+    calls.clear()
+    fx.build_observer_controller(ss, (1.0, 3.0), 10.0, 0.1)
+    assert len(calls) == 2 and set(ss.regulator) == {key, (1.0, 3.0)}
+
+
+def test_failed_regulator_solve_records_nothing(monkeypatch):
+    # an undamped plant is refused before any shift; a solve over its residual
+    # bound is refused after it; neither leaves a record for a later build
+    ss0 = fx.assemble(fx.PhysicalParams(gamma=0.0), 6)
+    with pytest.raises(RuntimeError, match="exponentially stable"):
+        fx.build_observer_controller(ss0, FREQS, 10.0, 0.1)
+    assert ss0.regulator == {}
+    ss = fx.assemble(fx.PhysicalParams(), 6)
+    monkeypatch.setattr(synthesis, "SYLVESTER_RESIDUAL_RTOL", 1e-30)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="Sylvester residual"):
+            fx.build_observer_controller(ss, FREQS, 10.0, 0.1)
+        assert ss.regulator == {}
+
+
 @pytest.mark.parametrize("q0, r0, residuals", [(10.0, 0.1, 1), (1e4, 10.0, 2)],
                          ids=["reference", "newton-step"])
 def test_observer_build_checks_each_figure_once(ss10, monkeypatch, q0, r0, residuals):
@@ -307,8 +372,7 @@ def test_observer_build_checks_each_figure_once(ss10, monkeypatch, q0, r0, resid
 
     monkeypatch.setattr(synthesis, "care_residual", residual)
     monkeypatch.setattr(synthesis, "stability_margin", margin)
-    H, _ = fx.solve_sylvester_H(ss10, FREQS)
-    ctrl = fx.build_observer_controller(ss10, FREQS, q0, r0, H)
+    ctrl = fx.build_observer_controller(ss10, FREQS, q0, r0)
     assert fx.assemble_closed_loop(ss10, ctrl).margin == min(ss10.margin, ctrl.servo_margin)
     assert len(counts) == residuals
     assert sizes == [fx.internal_model(FREQS).dim]  # the Riccati check, which is the servo's
@@ -339,6 +403,25 @@ def test_loop_margin_follows_the_design_plant():
         assert cl.margin == pytest.approx(fx.stability_margin(cl.Ae), rel=1e-5)
         fine = fx.assemble_closed_loop(fx.assemble(p, 2 * N), ctrl)
         assert fine.margin == fx.stability_margin(fine.Ae)
+
+
+@pytest.mark.parametrize("N, passive, observer", [
+    (4, (0.050552, 0.050007), (0.030983, -0.047694)),
+    (6, (0.050046, 0.050000), (0.030983, 0.020246)),
+    (10, (0.050002, 0.050000), (0.030983, 0.030983)),
+])
+def test_spillover_around_the_2N_plant(N, passive, observer):
+    # gamma = 0.1, the reference gains: each controller is designed on the N
+    # plant and closed around it and around the 2N plant of the same physics
+    # (Balas 1978).  The observer takes the N plant's recorded H into the 2N
+    # loop, and the 2N plant records none.  At N = 4 the unmodelled modes
+    # destabilize the observer loop; by N = 10 its margin has converged.
+    p = fx.PhysicalParams(gamma=0.1)
+    ss, fine = fx.assemble(p, N), fx.assemble(p, 2 * N)
+    for ctrl, want in ((_PASSIVE, passive), (fx.build_observer_controller(ss, FREQS, 10.0, 0.1), observer)):
+        got = (fx.assemble_closed_loop(ss, ctrl).margin, fx.assemble_closed_loop(fine, ctrl).margin)
+        assert got == pytest.approx(want, abs=1e-6)
+    assert list(ss.regulator) == [fx.internal_model(FREQS).frequencies] and fine.regulator == {}
 
 
 # --- closed-loop assembly -------------------------------------------------------
@@ -456,6 +539,33 @@ def test_passive_loop_regulates_across_parameters(factors, N):
     assert np.max(np.abs(block - target)) <= 1e-15 * np.max(np.abs(target))
 
 
+_REFERENCE = RunConfig()
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(factors=_scale_factors(st.floats(-1.5, 1.5).map(math.exp)), N=st.integers(4, 20))
+@example(factors=dict.fromkeys(_PHYSICAL, 1.0), N=10)
+def test_passive_loop_contracts_the_regulation_error(factors, N):
+    # with Ae Pi - Pi S = -Be E (Francis 1977), z = x - Pi v obeys zd = Ae z and
+    # the error is e = Ce z, so the contraction structure above makes ||z||
+    # non-increasing and bounds int ||e||^2 by ||z0||^2 / (2 c2): a theorem the
+    # exact propagator and the trapezoid l2sq of the reference signals must obey
+    # (on the reference loop 11.845 against 47.579)
+    plant = fx.assemble(fx.PhysicalParams().scaled(**factors), N)
+    cl = fx.assemble_closed_loop(plant, _PASSIVE)
+    exo = _REFERENCE.exosystem()
+    Pi = sla.solve_sylvester(cl.Ae, -exo.S, -cl.Be @ exo.E)
+    assert np.linalg.norm(cl.Ce @ Pi + cl.De @ exo.E) < 1e-8
+    x0 = fx.project_initial_state(plant, **_REFERENCE.initial_profiles())
+    A_aug, x0_aug, _ = simulate._augment(cl, x0, exo)
+    T, dt = _REFERENCE.t_final, _REFERENCE.dt
+    _, z = fx.propagate_autonomous(A_aug, x0_aug, T, dt, np.hstack([np.eye(cl.n), -Pi]))
+    norms = np.linalg.norm(z, axis=1)
+    assert np.all(np.diff(norms) <= 1e-12 * norms[0])
+    t, e = simulate.tracking_error(cl, x0, exo, T, dt)
+    assert simulate.integrated_square_error(t, e) <= norms[0] ** 2 / (2.0 * _PASSIVE.kappa[0, 0])
+
+
 def test_passive_loop_symmetric_part_sees_a_mismatched_gain(ss10):
     # K = -(1 + 1e-9) G2^T leaves -1e-9 C^T G2^T off the plant block
     G2 = _PASSIVE.G2
@@ -476,7 +586,7 @@ def test_observer_loop_regulates_around_perturbed_plants(factors):
     # designed on the draw's own plant, the realization hands on exactly the
     # servo margin and Riccati residual of the matrices it is built from
     H, _ = fx.solve_sylvester_H(plant, FREQS)
-    own = fx.build_observer_controller(plant, FREQS, 10.0, 0.1, H)
+    own = fx.build_observer_controller(plant, FREQS, 10.0, 0.1)
     im = fx.internal_model(FREQS)
     B1 = H @ plant.B
     assert own.servo_margin == fx.stability_margin(im.G1 + B1 @ own.K[:, :im.dim])
