@@ -206,13 +206,13 @@ def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
     parameter must be a gain that changes the configured controller (sweep_range),
     and every grid value must make a valid RunConfig (a gain is positive and
     finite), else the sweep raises ConfigError before any point runs.
-    Unstable closed loops and synthesis failures are flagged in ``stable``
-    and carry NaN metrics; the sweep always completes.  The points share the
+    A point is flagged in ``stable``, with NaN metrics, when its synthesis or
+    its loop is refused; the sweep always completes.  The points share the
     initial state, exosystem and plant, and the plant keeps its margin and each
     regulator solution it was solved for: an observer's first point solves it,
     and if that solve fails each point's build fails the same way and is flagged.
-    A point's margin is its loop's ClosedLoopSystem.margin, and a stable
-    point integrates ||e||^2 over its tracking error (tracking_error).
+    A point's margin is its loop's ClosedLoopSystem.margin, and tracking_error,
+    which refuses an unstable loop, gives the error whose ||e||^2 it integrates.
     The points run in order: each one's work is multithreaded BLAS calls, so
     running points on threads of their own measured slower, not faster.
     """
@@ -230,9 +230,8 @@ def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
     def run_point(point: RunConfig):
         with suppress(RuntimeError, ValueError):
             cl = assemble_closed_loop(ss, controller_from_config(point, ss))
-            if cl.margin > 0.0:
-                t, e = tracking_error(cl, x0_plant, exo, cfg.t_final, cfg.dt)
-                return cl.margin, integrated_square_error(t, e), True
+            t, e = tracking_error(cl, x0_plant, exo, cfg.t_final, cfg.dt)  # refuses an unstable loop
+            return cl.margin, integrated_square_error(t, e), True
         return np.nan, np.nan, False
 
     rows = [run_point(p) for p in points]

@@ -111,23 +111,19 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, perturb: dict | None) -> int:
         ss = analysis.plant_from_config(replace(cfg, **asdict(perturbed)))
         print("plant perturbed:", ", ".join(f"{k} x {v}" for k, v in perturb.items()))
     cl = assemble_closed_loop(ss, ctrl)
-    margin = cl.margin
-    if margin <= 0.0:
-        raise RuntimeError(f"closed loop unstable: stability margin = {margin:.6e}")
-
-    trace = analysis.simulate_from_config(cfg, cl)
+    trace = analysis.simulate_from_config(cfg, cl)  # raises on an unstable loop, before any file
     metrics = error_metrics(trace)
 
     trace_path = os.path.join(_ensure_outdir(out_dir), "trace.csv")
     trace.to_csv(trace_path)
     summary_path = os.path.join(out_dir, "summary.csv")
     write_csv(summary_path, ("margin", "l2sq", "decay_rate"),
-              [(margin, metrics.l2sq, metrics.decay_rate)])
+              [(cl.margin, metrics.l2sq, metrics.decay_rate)])
     manifest_path = os.path.join(out_dir, "manifest.txt")
     write_manifest(cfg, manifest_path)
     print(f"wrote {trace_path}, {summary_path}, {manifest_path}")
     print(
-        f"margin = {margin:.6f}, int ||e||^2 = {metrics.l2sq:.6f}, "
+        f"margin = {cl.margin:.6f}, int ||e||^2 = {metrics.l2sq:.6f}, "
         f"decay rate = {metrics.decay_rate:.6f}"
     )
     return EXIT_OK

@@ -143,10 +143,10 @@ def _chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     right-hand side has 1024 entries (L^{-1} from N = 15 on), and that wakes
     scipy's own BLAS pool, whose worker then competes with numpy's GEMM
     threads: 4-8 ms per call for 32-82 rows on a 2-core VM, against
-    0.1-0.5 ms for all columns one by one on the calling thread.  trsm
-    solves each column on its own, so the entries are those of one call;
-    the Fortran order is the one that call returns, and the GEMMs that take
-    the result keep their bits only in that order.
+    0.1-0.5 ms for all columns one by one on the calling thread.  Under
+    OpenBLAS's SkylakeX kernel, the goldens', the entries are those of one
+    call (not under Haswell or Zen); the Fortran order is the one that call
+    returns, and the GEMMs that take the result keep their bits only in that order.
     """
     L = np.asfortranarray(L)
     x = np.empty(b.shape, order="F")

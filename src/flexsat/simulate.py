@@ -148,7 +148,8 @@ def propagate_autonomous(A: np.ndarray, x0: np.ndarray, T: float, dt: float, C: 
     for the rows it reads (``np.eye(n)`` gives the states).  A non-finite
     output or block start raises as a blow-up, so a growing mode that C does
     not see is caught at the next block start.  phi^B overflows once a mode's
-    |lambda| dt exceeds about 22 (709 / B), raising even if x0 lacks the mode.
+    |lambda| dt exceeds about 22 (709 / B), raising even if x0 lacks the mode
+    (a direct call only: integrate and tracking_error refuse an unstable loop).
     """
     nt = grid_steps(T, dt) + 1
     n, m = A.shape[0], C.shape[0]
@@ -209,6 +210,8 @@ def _augment(cl: ClosedLoopSystem, x0: np.ndarray, exo: Exosystem) -> tuple:
 
     ``x0`` is the plant's initial state; the controller starts at rest.
     """
+    if cl.margin <= 0.0:
+        raise RuntimeError(f"closed loop unstable: stability margin = {cl.margin:.6e}")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (cl.plant.n,):
         raise ValueError(f"initial plant state must have length {cl.plant.n}, got {x0.shape}")
@@ -221,7 +224,8 @@ def integrate(cl: ClosedLoopSystem, x0: np.ndarray, exo: Exosystem, T: float, dt
     """Integrate the closed loop from plant state x0, the controller at rest, exactly on a uniform grid.
 
     Only the rows the trace reads are propagated (propagate_autonomous): the
-    plant state (for y and the energy), the error map and the control map.
+    plant state (for y and the energy), the error map and the control map.  A
+    loop with margin <= 0 raises RuntimeError before any exponential is taken.
     """
     A_aug, x0_aug, error_map = _augment(cl, x0, exo)
     n = cl.plant.n
@@ -236,7 +240,7 @@ def integrate(cl: ClosedLoopSystem, x0: np.ndarray, exo: Exosystem, T: float, dt
 
 
 def tracking_error(cl: ClosedLoopSystem, x0: np.ndarray, exo: Exosystem, T: float, dt: float) -> tuple:
-    """Grid times and tracking error e of integrate's run, propagating only e's two rows."""
+    """Grid times and error e of integrate's run, propagating only e's two rows; refuses as integrate does."""
     A_aug, x0_aug, error_map = _augment(cl, x0, exo)
     return propagate_autonomous(A_aug, x0_aug, T, dt, error_map)
 

@@ -318,11 +318,11 @@ def regulation_zero_check(cl: ClosedLoopSystem, freqs) -> dict:
     """Norm of the closed-loop error transfer at each signed tracked frequency.
 
     An internal-model controller drives these to rounding level; a missing
-    frequency shows up as an order-one residual.  The closed loop must be
-    stable for the values to mean anything, so instability is rejected.
+    frequency shows up as an order-one residual.  The values mean something
+    only for a stable loop, so a margin <= 0 raises RuntimeError, as integrate does.
     """
     if cl.margin <= 0.0:
-        raise RuntimeError(f"closed loop is not stable (stability margin {cl.margin:.3e})")
+        raise RuntimeError(f"closed loop unstable: stability margin = {cl.margin:.6e}")
     tracked = internal_model(freqs).frequencies
     out = {}
     for w in [-f for f in reversed(tracked) if f] + list(tracked):

@@ -1,5 +1,6 @@
 """Spectral diagnostics, resolvent scans, convergence report, sweeps."""
 
+import functools
 import math
 import re
 from dataclasses import replace
@@ -312,6 +313,37 @@ def test_sweep_records_synthesis_failures():
     assert not np.any(res.stable)
     assert np.all(np.isnan(res.margin))
     assert np.all(np.isnan(res.l2sq))
+
+
+def test_sweep_flags_an_unstable_point(default_config, monkeypatch):
+    # the middle point's loop is forced unstable: tracking_error refuses it, so it
+    # is flagged like a failed synthesis and propagates nothing, and the points
+    # around it keep the values they have when swept alone
+    grid = [2.0, 2.5, 3.0]
+    alone = [analysis.sweep(default_config, "c2", [value]) for value in grid]
+    compute = fx.ClosedLoopSystem.margin.func
+    loops = []
+
+    def forced(cl):
+        loops.append(cl)
+        return -1.0 if len(loops) == 2 else compute(cl)
+
+    margin = functools.cached_property(forced)
+    margin.__set_name__(fx.ClosedLoopSystem, "margin")
+    monkeypatch.setattr(fx.ClosedLoopSystem, "margin", margin)
+    propagations = []
+    propagate = fx.simulate.propagate_autonomous
+
+    def counting(*args):
+        propagations.append(args)
+        return propagate(*args)
+
+    monkeypatch.setattr(fx.simulate, "propagate_autonomous", counting)
+    res = analysis.sweep(default_config, "c2", grid)
+    assert len(loops) == 3 and len(propagations) == 2
+    assert np.isnan(res.margin[1]) and np.isnan(res.l2sq[1]) and not res.stable[1]
+    for i in (0, 2):
+        assert (res.margin[i], res.l2sq[i], res.stable[i]) == (alone[i].margin[0], alone[i].l2sq[0], True)
 
 
 def test_sweep_rejects_empty_grid(default_config):

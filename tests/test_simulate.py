@@ -1,6 +1,7 @@
 """The exosystem, matrix exponential, exact integration, error metrics."""
 
-from dataclasses import replace
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 
 import flexsat as fx
 from flexsat import analysis, simulate
-from flexsat.config import RunConfig
+from flexsat.config import RunConfig, load_config
 from flexsat.simulate import _augment
 
+REFERENCE_INI = Path(__file__).resolve().parents[1] / "configs" / "reference.ini"
 REFERENCE_SIGNALS = dict(
     freqs=(0.0, 1.0, 2.0, 5.0),
     yref_const=(1.0, 2.0),
@@ -314,6 +316,35 @@ def test_integrate_validates_inputs(passive_loop):
     exo = fx.exosystem((1.0,), np.zeros(2), np.zeros(4))
     with pytest.raises(ValueError):
         fx.integrate(passive_loop, np.zeros(3), exo, 1.0, 0.01)
+
+
+def test_unstable_loop_is_refused_before_any_exponential(monkeypatch):
+    # the observer designed on the reference INI, closed around its plant with E
+    # halved (margin -0.0505): integrate and tracking_error refuse it in _augment,
+    # before matrix_exponential, with the text regulation_zero_check raises too
+    cfg = replace(load_config(REFERENCE_INI), controller_kind="observer")
+    ctrl = analysis.controller_from_config(cfg, analysis.plant_from_config(cfg))
+    halved = analysis.plant_from_config(replace(cfg, **asdict(cfg.physical().scaled(E=0.5))))
+    cl = fx.assemble_closed_loop(halved, ctrl)
+    x0 = fx.project_initial_state(halved, **cfg.initial_profiles())
+    exponentials = []
+    expm = simulate.matrix_exponential
+
+    def counting(M):
+        exponentials.append(M.shape)
+        return expm(M)
+
+    monkeypatch.setattr(simulate, "matrix_exponential", counting)
+    refusals = []
+    for run in (simulate.integrate, simulate.tracking_error):
+        with pytest.raises(RuntimeError) as refusal:
+            run(cl, x0, cfg.exosystem(), cfg.t_final, cfg.dt)
+        refusals.append(str(refusal.value))
+    assert exponentials == []
+    with pytest.raises(RuntimeError) as refusal:
+        fx.regulation_zero_check(cl, cfg.frequencies)
+    refusals.append(str(refusal.value))
+    assert refusals == ["closed loop unstable: stability margin = -5.050022e-02"] * 3
 
 
 def test_initial_state_is_the_plant_state(passive_loop, default_config):

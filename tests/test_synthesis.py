@@ -213,7 +213,9 @@ def test_care_residual_at_reference_internal_model(ss10, observer_ctrl, passive_
 
 
 def test_care_newton_step_refines_schur_solution(ss10, monkeypatch):
-    # q0 = 1e4, r0 = 10 on the reference plant: the Schur solution alone misses the tolerance
+    # q0 = 1e5, r0 = 10 on the reference plant: the Schur solution alone misses the tolerance,
+    # about 1e-6 under OpenBLAS's SkylakeX, Haswell and Sandybridge kernels (q0 = 1e4 left
+    # 8.1e-9 under Sandybridge, already inside it)
     residuals = []
 
     def recorded(*args):
@@ -221,7 +223,7 @@ def test_care_newton_step_refines_schur_solution(ss10, monkeypatch):
         return residuals[-1]
 
     monkeypatch.setattr(synthesis, "care_residual", recorded)
-    ctrl = fx.build_observer_controller(ss10, FREQS, 1e4, 10.0)
+    ctrl = fx.build_observer_controller(ss10, FREQS, 1e5, 10.0)
     schur, stepped = residuals  # before and after the Newton step; the realization keeps the second
     assert schur > CARE_RESIDUAL_RTOL
     assert stepped == ctrl.care_residual < 0.1 * CARE_RESIDUAL_RTOL
