@@ -20,7 +20,8 @@ import numpy as np
 
 from . import analytic
 from .config import RunConfig, sweep_range
-from .discretize import LinearStateSpace, assemble, galerkin_transfer, project_initial_state, stability_margin
+from .discretize import (LinearStateSpace, assemble, galerkin_transfer, project_initial_state, require_decay,
+                         stability_margin)
 from .simulate import SimulationTrace, integrate, integrated_square_error, tracking_error, write_csv
 from .synthesis import (
     ClosedLoopSystem,
@@ -40,8 +41,7 @@ def resolvent_norm_scan(ss: LinearStateSpace, omegas) -> np.ndarray:
     plant state is in energy coordinates this is the energy-norm resolvent of
     the discretized dynamics.
     """
-    if ss.margin <= 0.0:
-        raise RuntimeError("resolvent scan requires an exponentially stable system")
+    require_decay(ss.margin, "resolvent scan requires an exponentially stable system")
     omegas = np.asarray(omegas, dtype=float)
     out = np.empty(omegas.size)
     eye = np.eye(ss.n)
@@ -210,7 +210,8 @@ def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
     its loop is refused; the sweep always completes.  The points share the
     initial state, exosystem and plant, and the plant keeps its margin and each
     regulator solution it was solved for: an observer's first point solves it,
-    and if that solve fails each point's build fails the same way and is flagged.
+    and if that solve fails the plant records the refusal, which each later
+    point's build raises again without solving, so every point is flagged.
     A point's margin is its loop's ClosedLoopSystem.margin, and tracking_error,
     which refuses an unstable loop, gives the error whose ||e||^2 it integrates.
     The points run in order: each one's work is multithreaded BLAS calls, so

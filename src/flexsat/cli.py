@@ -84,18 +84,16 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def cmd_analyze(cfg: RunConfig, out_dir: str) -> int:
-    """Transfer-oracle convergence table and resolvent scan, written as CSV."""
-    p = cfg.physical()
+    """Transfer-oracle convergence table and resolvent scan, both computed before any file is written."""
     Ns = (6, 8, 12, 16)
     omegas = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 6.0)
-    rows = analysis.transfer_error_report(p, Ns, omegas)
+    rows = analysis.transfer_error_report(cfg.physical(), Ns, omegas)
+    grid = np.linspace(-200.0, 200.0, 401)
+    vals = analysis.resolvent_norm_scan(analysis.plant_from_config(cfg), grid)
+
     path = os.path.join(_ensure_outdir(out_dir), "transfer_errors.csv")
     write_csv(path, ("N", "max_rel_error"), rows)
     print(f"wrote {path}")
-
-    ss = analysis.plant_from_config(cfg)
-    grid = np.linspace(-200.0, 200.0, 401)
-    vals = analysis.resolvent_norm_scan(ss, grid)
     path = os.path.join(out_dir, "resolvent_scan.csv")
     write_csv(path, ("omega", "resolvent_norm"), zip(grid, vals))
     print(f"wrote {path}")
@@ -178,15 +176,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except np.linalg.LinAlgError as exc:  # a ValueError subclass, but a model failure
+    except (np.linalg.LinAlgError, RuntimeError) as exc:  # LinAlgError is a ValueError, but a model failure
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except (ValueError, OSError) as exc:  # OSError: an output path that cannot be created or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except RuntimeError as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

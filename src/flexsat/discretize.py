@@ -269,6 +269,12 @@ def stability_margin(A: np.ndarray) -> float:
     return -float(np.max(np.linalg.eigvals(A).real))
 
 
+def require_decay(margin: float, reason: str) -> None:
+    """The one refusal of a plant, servo or loop that does not decay: RuntimeError naming its margin."""
+    if margin <= 0.0:
+        raise RuntimeError(f"{reason}: stability margin = {margin:.6e}")
+
+
 def shifted_solve(A: np.ndarray, omega: float, rhs: np.ndarray) -> np.ndarray:
     """(i w I - A)^{-1} rhs; a numerically singular shift raises RuntimeError."""
     shift = 1j * omega * np.eye(A.shape[0]) - A

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .discretize import require_decay
 from .synthesis import ClosedLoopSystem, internal_model
 
 LOG_FLOOR = 1e-14  # floor for log|e| in the decay-rate fit
@@ -210,8 +211,7 @@ def _augment(cl: ClosedLoopSystem, x0: np.ndarray, exo: Exosystem) -> tuple:
 
     ``x0`` is the plant's initial state; the controller starts at rest.
     """
-    if cl.margin <= 0.0:
-        raise RuntimeError(f"closed loop unstable: stability margin = {cl.margin:.6e}")
+    require_decay(cl.margin, "closed loop unstable")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (cl.plant.n,):
         raise ValueError(f"initial plant state must have length {cl.plant.n}, got {x0.shape}")

@@ -13,8 +13,9 @@ equation G1 H = H A + G2 C of the real rotation-block internal model, solved
 with one shifted solve of the plant per tracked frequency.
 Both solvers hand on the figures their checks accepted: solve_sylvester_H
 returns (H, residual) and records it on the plant, which keeps each regulator
-solution it was solved for; build_observer_controller, the one observer
-construction, reads H there and carries care_solve's residual and servo margin.
+solution it was solved for, or the text of its refusal; build_observer_controller,
+the one observer construction, reads H there and carries care_solve's residual
+and servo margin.
 """
 
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .discretize import LinearStateSpace, shifted_solve, stability_margin
+from .discretize import LinearStateSpace, require_decay, shifted_solve, stability_margin
 
 CARE_RESIDUAL_RTOL = 1e-8
 SYLVESTER_RESIDUAL_RTOL = 1e-8
@@ -133,10 +134,10 @@ def solve_sylvester_H(ss: LinearStateSpace, freqs) -> tuple[np.ndarray, float]:
     tracked frequency, the zero block is Re R_0 and each rotation block stacks
     sqrt(2) Im R_w over sqrt(2) Re R_w.  The plant must be exponentially stable
     so that every shift is regular.  Returns (H, residual), the residual being the
-    sylvester_residual its bound check accepted; only such a pair is recorded in ss.regulator.
+    sylvester_residual its bound check accepted, and records that pair in ss.regulator;
+    a residual over its bound is recorded there as the refusal's text, then raised.
     """
-    if ss.margin <= 0.0:
-        raise RuntimeError(f"plant must be exponentially stable (stability margin {ss.margin:.3e})")
+    require_decay(ss.margin, "plant must be exponentially stable")
     im = internal_model(freqs)
     H = np.empty((im.dim, ss.n))
     s2 = np.sqrt(2.0)
@@ -146,10 +147,10 @@ def solve_sylvester_H(ss: LinearStateSpace, freqs) -> tuple[np.ndarray, float]:
     residual = sylvester_residual(ss, freqs, H)
     if residual > SYLVESTER_RESIDUAL_RTOL:
         worst = max(np.linalg.cond(1j * f * np.eye(ss.n) - ss.A) for f, _ in im.blocks)
-        raise RuntimeError(
-            f"relative Sylvester residual {residual:.3e} exceeds {SYLVESTER_RESIDUAL_RTOL:.1e} "
-            f"(worst shift condition number {worst:.3e})"
-        )
+        refusal = (f"relative Sylvester residual {residual:.3e} exceeds {SYLVESTER_RESIDUAL_RTOL:.1e} "
+                   f"(worst shift condition number {worst:.3e})")
+        ss.regulator[im.frequencies] = refusal  # its text, not the exception: a raise grows the traceback
+        raise RuntimeError(refusal)
     ss.regulator[im.frequencies] = H, residual
     return H, residual
 
@@ -219,8 +220,7 @@ def care_solve(A, B, Q, R):
         raise RuntimeError("Riccati solution is not positive semidefinite")
     K = Rinv @ B.T @ P
     margin = stability_margin(A - B @ K)
-    if margin <= 0.0:
-        raise RuntimeError("Riccati gain failed to stabilize A - B K")
+    require_decay(margin, "Riccati gain failed to stabilize A - B K")
     return P, K, res, margin
 
 
@@ -229,16 +229,20 @@ def build_observer_controller(ss: LinearStateSpace, freqs, q0: float, r0: float)
 
     H is read from the plant, which keeps each regulator solution it was solved
     for, and solved here (solve_sylvester_H) only when ss has no record for
-    freqs.  The servocompensator is the real rotation-block internal model
-    driven by the tracking error; its stabilizing gain K1 makes G1 + B1 K1
-    Hurwitz via the Riccati equation with weights q0 I and r0 I (the Riccati
-    gain enters with a plus sign here, so the conventional sign is flipped).
-    A full copy of the plant acts as observer, and K2 = K1 H couples it back.
+    freqs; a recorded refusal is raised again, solving nothing.  The
+    servocompensator is the real rotation-block internal model driven by the
+    tracking error; its stabilizing gain K1 makes G1 + B1 K1 Hurwitz via the
+    Riccati equation with weights q0 I and r0 I (the Riccati gain enters with
+    a plus sign here, so the conventional sign is flipped).  A full copy of
+    the plant acts as observer, and K2 = K1 H couples it back.
     """
     if q0 <= 0.0 or r0 <= 0.0:
         raise ValueError(f"q0 and r0 must be positive, got q0={q0!r}, r0={r0!r}")
     im = internal_model(freqs)
-    H, _ = ss.regulator.get(im.frequencies) or solve_sylvester_H(ss, freqs)
+    record = ss.regulator.get(im.frequencies) or solve_sylvester_H(ss, freqs)
+    if isinstance(record, str):
+        raise RuntimeError(record)
+    H, _ = record
     B1 = H @ ss.B
     # every B1 block is a transfer-function value; they must be nonsingular
     for f, sl in im.blocks:
@@ -321,8 +325,7 @@ def regulation_zero_check(cl: ClosedLoopSystem, freqs) -> dict:
     frequency shows up as an order-one residual.  The values mean something
     only for a stable loop, so a margin <= 0 raises RuntimeError, as integrate does.
     """
-    if cl.margin <= 0.0:
-        raise RuntimeError(f"closed loop unstable: stability margin = {cl.margin:.6e}")
+    require_decay(cl.margin, "closed loop unstable")
     tracked = internal_model(freqs).frequencies
     out = {}
     for w in [-f for f in reversed(tracked) if f] + list(tracked):

@@ -361,6 +361,22 @@ def test_simulate_unstable_perturbed_loop_exits_1(tmp_path, capsys):
     assert margin == pytest.approx(0.07371, abs=5e-6)
 
 
+def test_refused_analyze_writes_nothing(tmp_path, monkeypatch, capsys):
+    # analyze computes both tables before it makes the output directory, so a
+    # refused resolvent scan leaves no transfer table behind, as simulate leaves no trace
+    def refuse(ss, omegas):
+        raise RuntimeError("resolvent scan refused")
+
+    monkeypatch.setattr(analysis, "resolvent_norm_scan", refuse)
+    out = tmp_path / "out"
+    rc = cli.main(["--config", str(REFERENCE_INI), "--out", str(out), "analyze"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "wrote" not in captured.out
+    assert captured.err == "runtime failure: resolvent scan refused\n"
+    assert not out.exists()
+
+
 def test_unusable_output_path_exits_2(tmp_path, monkeypatch, capsys):
     # an output path that cannot be made a directory is a usage error, refused before any model is built
     assembled = []

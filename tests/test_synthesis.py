@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flexsat as fx
-from flexsat import simulate, synthesis
+from flexsat import analysis, simulate, synthesis
 from flexsat.config import RunConfig
 from flexsat.synthesis import (
     CARE_RESIDUAL_RTOL,
@@ -198,6 +198,27 @@ def test_care_random_system():
     assert margin == fx.stability_margin(A - B @ K)
 
 
+@pytest.mark.parametrize("reason, margin, refuse", [
+    ("plant must be exponentially stable", None, lambda ss: fx.solve_sylvester_H(ss, FREQS)),
+    ("resolvent scan requires an exponentially stable system", None,
+     lambda ss: analysis.resolvent_norm_scan(ss, [0.0, 1.0])),
+    ("Riccati gain failed to stabilize A - B K", -1.0,
+     lambda ss: fx.care_solve(np.zeros((1, 1)), np.eye(1), np.eye(1), np.eye(1))),
+], ids=["sylvester", "resolvent-scan", "care"])
+def test_each_refusal_names_its_margin(monkeypatch, reason, margin, refuse):
+    # a plant, servo or loop that does not decay is refused by one gate, in one
+    # format: the undamped plant's margin (rounding level, not positive) or the
+    # servo margin care_solve checks, here patched to -1
+    ss = fx.assemble(fx.PhysicalParams(gamma=0.0), 6)
+    if margin is None:
+        margin = ss.margin
+    else:
+        monkeypatch.setattr(synthesis, "stability_margin", lambda A: margin)
+    with pytest.raises(RuntimeError) as refusal:
+        refuse(ss)
+    assert str(refusal.value) == f"{reason}: stability margin = {margin:.6e}"
+
+
 def test_care_residual_at_reference_internal_model(ss10, observer_ctrl, passive_ctrl):
     im = fx.internal_model(FREQS)
     H, _ = fx.solve_sylvester_H(ss10, FREQS)
@@ -342,19 +363,26 @@ def test_plant_keeps_its_regulator_solution(monkeypatch):
     assert len(calls) == 2 and set(ss.regulator) == {key, (1.0, 3.0)}
 
 
-def test_failed_regulator_solve_records_nothing(monkeypatch):
-    # an undamped plant is refused before any shift; a solve over its residual
-    # bound is refused after it; neither leaves a record for a later build
+def test_failed_regulator_solve_is_raised_from_its_record(monkeypatch):
+    # an undamped plant is refused before any shift and leaves no record; a solve
+    # over its residual bound is refused after its shifts and records the refusal's
+    # text, which a later build raises again with no shifted solve
     ss0 = fx.assemble(fx.PhysicalParams(gamma=0.0), 6)
     with pytest.raises(RuntimeError, match="exponentially stable"):
         fx.build_observer_controller(ss0, FREQS, 10.0, 0.1)
     assert ss0.regulator == {}
+    calls = _counting_shifted_solves(monkeypatch)
     ss = fx.assemble(fx.PhysicalParams(), 6)
     monkeypatch.setattr(synthesis, "SYLVESTER_RESIDUAL_RTOL", 1e-30)
-    for _ in range(2):
-        with pytest.raises(RuntimeError, match="Sylvester residual"):
+    refusals = []
+    for solves in (len(FREQS), 0):
+        calls.clear()
+        with pytest.raises(RuntimeError, match="Sylvester residual") as refusal:
             fx.build_observer_controller(ss, FREQS, 10.0, 0.1)
-        assert ss.regulator == {}
+        assert len(calls) == solves
+        refusals.append(str(refusal.value))
+    assert refusals[1] == refusals[0]
+    assert ss.regulator == {fx.internal_model(FREQS).frequencies: refusals[0]}
 
 
 @pytest.mark.parametrize("q0, r0, residuals", [(10.0, 0.1, 1), (1e4, 10.0, 2)],
