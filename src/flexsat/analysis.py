@@ -4,8 +4,9 @@ validation_checks yields the model's invariant checks as Check records, one
 per row of ``flexsat validate``, which only prints them.  A margin belongs to
 its system (LinearStateSpace.margin, ClosedLoopSystem.margin), which computes
 it on first use and caches it; stability_margin is re-exported from
-discretize.  Every command and sweep point builds its controller with
-controller_from_config, and the plant keeps each regulator solution it was
+discretize.  Commands and sweep points build their controller with
+controller_from_config, validate's Sylvester and CARE rows an observer with
+build_observer_controller; the plant keeps each regulator solution it was
 solved for (synthesis.solve_sylvester_H).
 Resolvent norms are sampled along the imaginary axis as the reciprocal
 smallest singular value of the shifted state matrix.  Sweeps vary one
@@ -115,7 +116,7 @@ def validation_checks(cfg: RunConfig):
     sym = ss.A.T + ss.A + 0.0
     target = np.zeros_like(sym)
     nb = 2 * ss.n_basis
-    target[nb:, nb:] = -2.0 * ss.damping
+    target[nb:, nb:] = 2.0 * ss.A[nb:, nb:]  # -2 D: D is A's velocity block, negated
     struct = float(np.abs(sym - target).max())
     yield Check("dissipation_structure", "pass" if struct <= 1e-12 else "fail", struct,
                 f"max|A^T H + H A + 2 blockdiag(0, D)| = {struct:.3e}")

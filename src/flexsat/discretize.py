@@ -20,12 +20,12 @@ the rigid displacements they drop out of the state, which is
 
 of dimension 4N + 2.  These are energy coordinates: the mechanical energy is
 exactly 0.5 * ||x||^2, so no energy weight is stored, the collocation identity
-B = C^T holds bit-exactly, and A^T + A equals -blockdiag(0, 2 * damping)
-bit-exactly.  The plant keeps the Cholesky factor L itself, not its inverse.
-Initial data reuse the same Gauss rule and shape rows: an initial velocity
-profile is projected as the load a distributed disturbance of that shape puts
-on B_w, a hub velocity enters through the actuator columns, and the velocity
-block is that load solved against L.
+B = C^T holds bit-exactly, and A^T + A is twice A's velocity block -D, zero
+elsewhere, bit-exactly.  The plant keeps L of M = L L^T, not its inverse.
+Initial data reuse _panels' Gauss rule, shape and curvature rows: a bending
+moment M = EI eta'' is projected onto the curvatures, a velocity profile as
+the load a distributed disturbance of that shape puts on B_w, a hub velocity
+through the actuator columns; the velocity block is that load solved against L.
 """
 
 from dataclasses import dataclass, field
@@ -55,8 +55,6 @@ class BeamBasis:
     zero-padded above degree j + 2.
     """
 
-    side: str
-    n: int
     domain: tuple[float, float]
     coef: np.ndarray
 
@@ -80,23 +78,24 @@ def build_basis(n: int, side: str) -> BeamBasis:
     # integrate twice from xi = 0, which is t = off in the window variable
     off, scl = pu.mapparms(_DOMAINS[side], _WINDOW)
     coef = npleg.legint(np.eye(n), 2, lbnd=off, scl=1.0 / scl, axis=0)
-    return BeamBasis(side=side, n=n, domain=_DOMAINS[side], coef=coef)
+    return BeamBasis(domain=_DOMAINS[side], coef=coef)
 
 
-def _panels(basis_l: BeamBasis, basis_r: BeamBasis):
-    """Yield (i, basis, xi, w, V) per panel (left i = 0, right i = 1): its 2N + 8
-    Gauss nodes and weights, and the rows V of every shape function there --
-    rigid 1 and xi, this panel's elastic functions, zeros for the other's."""
-    N = basis_l.n
+def _panels(N: int):
+    """Yield (i, xi, w, V, curv) per panel (left i = 0, right i = 1): its 2N + 8
+    Gauss nodes and weights, the rows V of every shape function there -- rigid
+    1 and xi, this panel's elastic functions, zeros for the other's -- and the
+    curvature rows phi_j'' of this panel's N elastic functions."""
+    bases = [build_basis(N, side) for side in _DOMAINS]  # looked up per call, so a test can swap it
     nq = 2 * N + _QUAD_EXTRA
     xg, wg = npleg.leggauss(nq)
-    for i, basis in enumerate((basis_l, basis_r)):
+    for i, basis in enumerate(bases):
         lo, hi = basis.domain
         xi, w = 0.5 * (hi - lo) * xg + 0.5 * (hi + lo), 0.5 * (hi - lo) * wg
         V = np.zeros((2 + 2 * N, nq))
         V[0], V[1] = 1.0, xi
         V[2 + i * N : 2 + (i + 1) * N] = basis.eval(xi)
-        yield i, basis, xi, w, V
+        yield i, xi, w, V, basis.eval(xi, order=2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +104,8 @@ class LinearStateSpace:
 
     State ordering: 2N elastic coordinates (stiffness-normalized Legendre
     coefficients, left panel then right), then 2N + 2 velocity coordinates
-    (Cholesky-transformed generalized velocities).
+    (Cholesky-transformed generalized velocities).  Nothing derivable is kept:
+    D is -A[2N:, 2N:], and build_basis(n_basis, side) rebuilds a panel's basis.
     """
 
     A: np.ndarray
@@ -115,9 +115,6 @@ class LinearStateSpace:
     n: int
     n_basis: int
     params: PhysicalParams
-    basis_left: BeamBasis
-    basis_right: BeamBasis
-    damping: np.ndarray       # velocity-block damping in state coordinates
     stiffness: np.ndarray     # diagonal of the elastic stiffness Gram
     chol: np.ndarray          # lower Cholesky factor L, M = L L^T; initial data are solved against it
     regulator: dict = field(default_factory=dict, init=False, repr=False)  # see synthesis.solve_sylvester_H
@@ -169,18 +166,18 @@ def assemble(p: PhysicalParams, N: int, bd_profiles=((1.0,), (1.0,))) -> LinearS
         channels, as callables on the panel domain or polynomial coefficient
         sequences: the INI file's [simulation] keys (bd1, bd2).  Defaults to
         the coefficients (1.0,), the constant 1, on both panels, as those
-        keys do.
+        keys do.  Any other number of profiles is a ValueError.
     """
+    if len(bd_profiles) != 2:
+        raise ValueError(f"bd_profiles needs one profile per panel, got {len(bd_profiles)}")
     nc = 2 + 2 * N
-    basis_l = build_basis(N, "left")
-    basis_r = build_basis(N, "right")
     gram = np.zeros((nc, nc))
     ke = np.empty(2 * N)
     Bw = np.zeros((nc, 4))
-    for (i, basis, xi, w, V), bd in zip(_panels(basis_l, basis_r), bd_profiles):
+    for (i, xi, w, V, curv), bd in zip(_panels(N), bd_profiles):
         gram += (V * w) @ V.T
         # elastic stiffness Gram: diagonal by Legendre orthogonality
-        ke[i * N : (i + 1) * N] = p.EI * (basis.eval(xi, order=2) ** 2) @ w
+        ke[i * N : (i + 1) * N] = p.EI * (curv ** 2) @ w
         Bw[:, i] = V @ (w * _as_profile(bd)(xi))  # distributed disturbance on this panel
     Bw[0, 2] = Bw[1, 3] = 1.0  # force and torque disturbances enter with the hub inputs
 
@@ -218,9 +215,6 @@ def assemble(p: PhysicalParams, N: int, bd_profiles=((1.0,), (1.0,))) -> LinearS
         n=n,
         n_basis=N,
         params=p,
-        basis_left=basis_l,
-        basis_right=basis_r,
-        damping=Dt,
         stiffness=ke,
         chol=L,
     )
@@ -232,30 +226,32 @@ def project_initial_state(ss: LinearStateSpace, *, left_velocity=None, right_vel
 
     The keywords are the INI file's [simulation] profile keys of the same
     names (RunConfig.initial_profiles resolves a preset to them).  Velocity
-    profiles are in m/s on each panel's domain, moment profiles are the
-    initial bending moments, and hub_velocity is (linear, angular).  A
-    profile is a callable or a polynomial coefficient sequence in xi; None
-    is identically zero.
+    profiles are in m/s on each panel's domain, moment profiles are initial
+    bending moments M = EI eta'', and hub_velocity is the pair (linear,
+    angular).  A profile is a callable or a polynomial coefficient sequence
+    in xi; None is identically zero.
 
-    Bending moments are converted to elastic coordinates through the
+    The curvature M / EI is converted to elastic coordinates through the
     stiffness-weighted projection (for polynomial moments of degree < N this
     is exact).  A velocity profile is the same momentum load b as a distributed
     disturbance of that shape (rho_a times its B_w column), a hub velocity
     enters through the actuator columns as (m h0, I_m h1), and the velocity
     block is L^T M^{-1} b = L^{-1} b, one triangular solve against ss.chol.
     """
+    if len(hub_velocity) != 2:
+        raise ValueError(f"hub_velocity needs 2 entries (linear, angular), got {len(hub_velocity)}")
     N = ss.n_basis
     p = ss.params
     x = np.zeros(ss.n)
     b = np.zeros(2 * N + 2)
     moments = (left_moment, right_moment)
     velocities = (left_velocity, right_velocity)
-    for i, basis, xi, w, V in _panels(ss.basis_left, ss.basis_right):
+    for i, xi, w, V, curv in _panels(N):
         if moments[i] is not None:
-            # phi_j'' are orthogonal, so the stiffness-weighted projection is
-            # coefficientwise: a_j = <m, phi_j''> / ||phi_j''||^2
+            # phi_j'' are orthogonal, so the stiffness-weighted projection of
+            # eta'' = M / EI is coefficientwise: a_j = <M, phi_j''> / (EI ||phi_j''||^2)
             ke = ss.stiffness[i * N : (i + 1) * N]
-            num = p.EI * basis.eval(xi, order=2) @ (w * _as_profile(moments[i])(xi))
+            num = curv @ (w * _as_profile(moments[i])(xi))
             x[i * N : (i + 1) * N] = np.sqrt(ke) * (num / ke)
         if velocities[i] is not None:
             b += p.rho_a * V @ (w * _as_profile(velocities[i])(xi))

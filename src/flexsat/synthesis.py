@@ -56,6 +56,8 @@ def internal_model(freqs) -> InternalModel:
     freqs = np.asarray(freqs, dtype=float) + 0.0  # + 0.0 reads a -0.0 entry as 0.0
     if freqs.ndim != 1 or freqs.size == 0:
         raise ValueError("frequency list must be a nonempty 1-D sequence")
+    if not np.all(np.isfinite(freqs)):  # NaN passes both tests below
+        raise ValueError("frequencies must be finite")
     if np.any(freqs < 0.0):
         raise ValueError("frequencies must be nonnegative (conjugates are implicit)")
     if np.any(np.diff(freqs) <= 0.0):

@@ -142,7 +142,7 @@ def test_criterion_05_structural_identities(params, ss10, default_config, plant_
         y = xp @ ss10.C.T
         energy = 0.5 * np.einsum("ij,ij->i", xp, xp)
         supply = np.trapezoid(np.einsum("ij,ij->i", u_inj, y), t)
-        dissip = np.trapezoid(np.einsum("ij,ij->i", vel, vel @ ss10.damping.T), t)
+        dissip = np.trapezoid(np.einsum("ij,ij->i", vel, vel @ -ss10.A[nb:, nb:].T), t)  # D = -A's velocity block
         balance = abs(energy[-1] - energy[0] - supply + dissip)
         balance_ok = balance < 1e-5 * max(1.0, energy[0])
 

@@ -47,7 +47,6 @@ class _SeriesBasis:
     bit: one Legendre series per phi_j, differentiated on every evaluation."""
 
     def __init__(self, n, side):
-        self.n, self.side = n, side
         self.domain = (-1.0, 0.0) if side == "left" else (0.0, 1.0)
         self.series = [Legendre(np.eye(n)[j, : j + 1], domain=list(self.domain)).integ(2, lbnd=0.0)
                        for j in range(n)]
@@ -76,7 +75,7 @@ _PROFILES = dict(left_velocity=lambda x: np.sin(2.0 * x), right_velocity=(0.3, 0
 
 def test_assembly_with_series_basis_is_bit_identical(params, monkeypatch):
     bd = ((1.0, -0.5, 2.0), lambda x: np.cos(3.0 * x))
-    fields = ("A", "B", "Bd", "C", "damping", "stiffness", "chol")
+    fields = ("A", "B", "Bd", "C", "stiffness", "chol")  # A carries the damping's bits
 
     def run():
         out = []
@@ -86,9 +85,15 @@ def test_assembly_with_series_basis_is_bit_identical(params, monkeypatch):
         return out
 
     table = run()
-    monkeypatch.setattr(discretize, "build_basis", _SeriesBasis)
+    built = []
+
+    def series_basis(n, side):
+        built.append(_SeriesBasis(n, side))
+        return built[-1]
+
+    monkeypatch.setattr(discretize, "build_basis", series_basis)
     series = run()
-    assert isinstance(fx.assemble(params, 1).basis_left, _SeriesBasis)
+    assert len(built) == 16  # _panels builds both bases per assemble and per projection
     assert all(np.array_equal(a, b) for a, b in zip(table, series, strict=True))
 
 
@@ -103,6 +108,13 @@ def test_assemble_refuses_empty_basis_through_build_basis(params):
     # build_basis holds the one N >= 1 check
     with pytest.raises(ValueError, match=r"^need at least one basis function, got 0$"):
         fx.assemble(params, 0)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_assemble_refuses_bd_profiles_not_one_per_panel(params, count):
+    # one profile would drop the right panel from the mass matrix, a third would be ignored
+    with pytest.raises(ValueError, match=rf"^bd_profiles needs one profile per panel, got {count}$"):
+        fx.assemble(params, 4, ((1.0,),) * count)
 
 
 def test_state_dimension(params):
@@ -120,7 +132,7 @@ def test_dissipation_identity_exact(ss10):
     sym = ss10.A.T + ss10.A
     target = np.zeros_like(sym)
     nb = 2 * ss10.n_basis
-    target[nb:, nb:] = -2.0 * ss10.damping
+    target[nb:, nb:] = 2.0 * ss10.A[nb:, nb:]  # -2 D, D = -A's velocity block
     assert np.array_equal(sym, target)
 
 
@@ -144,7 +156,7 @@ def test_structural_invariants_exact_across_parameters(p, N):
     assert np.array_equal(ss.B, ss.C.T)
     sym = ss.A.T + ss.A
     target = np.zeros_like(sym)
-    target[2 * N:, 2 * N:] = -2.0 * ss.damping
+    target[2 * N:, 2 * N:] = 2.0 * ss.A[2 * N:, 2 * N:]  # -2 D, D = -A's velocity block
     assert np.array_equal(sym, target)
 
 
@@ -190,7 +202,7 @@ def reconstruct_elastic(ss, x, side, xi):
     """Elastic deviation eta on one panel from the state coordinates."""
     N = ss.n_basis
     offset = 0 if side == "left" else N
-    basis = ss.basis_left if side == "left" else ss.basis_right
+    basis = build_basis(N, side)
     coeffs = x[offset : offset + N] / np.sqrt(ss.stiffness[offset : offset + N])
     return coeffs @ basis.eval(xi)
 
@@ -216,9 +228,35 @@ def test_project_moment_closed_form(params):
         assert np.max(np.abs(x0[2 * N :])) == 0.0  # no initial velocities
 
 
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(data=st.data(), N=st.integers(1, 40), E=_log_uniform(0.2, 5.0), I=_log_uniform(0.2, 5.0))
+def test_project_polynomial_moment_is_exact(data, N, E, I):
+    # a moment M of degree < N lies in the span of the curvatures phi_j'', so
+    # the projection reproduces M = EI eta'' up to rounding; entries near the
+    # underflow threshold would lose digits to subnormal products, not to it
+    p = fx.PhysicalParams(E=E, I=I)
+    ss = fx.assemble(p, N)
+    entry = st.floats(-1.0, 1.0).filter(lambda c: c == 0.0 or abs(c) > 1e-200)
+    coeff = st.lists(entry, min_size=1, max_size=N)
+    moments = {side: data.draw(coeff, label=side) for side in ("left", "right")}
+    x0 = fx.project_initial_state(ss, left_moment=moments["left"], right_moment=moments["right"])
+    for i, side in enumerate(("left", "right")):
+        xi = np.linspace(*discretize._DOMAINS[side], 41)
+        want = np.polynomial.polynomial.polyval(xi, moments[side])
+        k = slice(i * N, (i + 1) * N)
+        got = p.EI * (x0[k] / np.sqrt(ss.stiffness[k])) @ build_basis(N, side).eval(xi, 2)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), side
+
+
+def test_project_refuses_hub_velocity_not_a_pair(ss10):
+    for hub in ((1.0,), (1.0, 0.0, 2.0)):
+        with pytest.raises(ValueError, match=rf"^hub_velocity needs 2 entries \(linear, angular\), got {len(hub)}$"):
+            fx.project_initial_state(ss10, hub_velocity=hub)
+
+
 def test_project_moment_energy(ss10):
-    # elastic energy of the projected state: 0.5 * EI * int m^2 over both
-    # panels = 16/5 + ... here int 16(1 -+ xi)^4 = 16/5 per panel
+    # elastic energy of the projected state: 0.5 * int m^2 / EI over both
+    # panels, with int 16(1 -+ xi)^4 = 16/5 per panel and EI = 1 here
     x0 = fx.project_initial_state(
         ss10,
         left_moment=lambda x: 4.0 * (1.0 + x) ** 2,
@@ -275,7 +313,7 @@ def test_velocity_projection_is_an_accurate_solve(params, N):
                     hub_velocity=(0.7, -0.2))
     ss = fx.assemble(params, N)
     b = np.zeros(2 * N + 2)
-    for i, _, xi, w, V in discretize._panels(ss.basis_left, ss.basis_right):
+    for i, xi, w, V, _ in discretize._panels(N):
         shape = discretize._as_profile(profiles[("left_velocity", "right_velocity")[i]])
         b += params.rho_a * V @ (w * shape(xi))
     b[:2] += params.m * profiles["hub_velocity"][0], params.I_m * profiles["hub_velocity"][1]
@@ -304,9 +342,9 @@ def test_columnwise_triangular_solve_keeps_every_bit(params, N, monkeypatch):
     # from N = 15 on, L^{-1}'s right-hand side has 1024 entries or more, and one
     # trsm call over it runs on OpenBLAS's threaded path; per column it gives the
     # same entries, and W must keep that call's Fortran order, or W @ D @ W.T
-    # takes another GEMM path and moves A and damping
+    # takes another GEMM path and moves A's damping block
     bd = ((1.0, -0.5, 2.0), lambda x: np.cos(3.0 * x))
-    fields = ("A", "B", "Bd", "C", "damping", "chol")
+    fields = ("A", "B", "Bd", "C", "chol")
     columnwise = fx.assemble(params, N, bd)
     monkeypatch.setattr(discretize, "_chol_solve", _one_trsm_call)
     one_call = fx.assemble(params, N, bd)
