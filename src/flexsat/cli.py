@@ -176,7 +176,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (np.linalg.LinAlgError, RuntimeError) as exc:  # LinAlgError is a ValueError, but a model failure
+    # LinAlgError is a ValueError, but a model failure; MemoryError: an allocation the machine refuses
+    except (np.linalg.LinAlgError, RuntimeError, MemoryError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except (ValueError, OSError) as exc:  # OSError: an output path that cannot be created or written

@@ -4,24 +4,24 @@ Each key is one RunConfig field.  The field's annotation sets how the key is
 read and written: float and int as numbers, str as text, Vec as
 whitespace-separated numbers, and Mat as a coefficient table whose rows are
 separated by ';', one row per positive frequency and one column per channel.
-The field's entry in _SECTIONS sets the key's section, its name in the file
-and its place in the written file.  Initial panel profiles and disturbance
-shapes are polynomial coefficient lists (ascending powers of xi) or named
-presets.  The model builders take the keys as the file writes them:
-simulate.exosystem the [signals] keys (RunConfig.exosystem), the controllers
-and regulation_zero_check the same frequencies, discretize.assemble the pair
-(bd1, bd2), and discretize.project_initial_state the five profile keys as
-keywords (RunConfig.initial_profiles, which resolves initial_profile).
-Values are literal ('%' included); [DEFAULT] is an unknown section.
-The resolved configuration is written back out (the run manifest) and
-reparses to an identical value.  default_sweep_grid builds every sweep grid.
+The field declares its section and, where it differs from the field's name,
+its key (_ini); the field order is the written file's order.  Initial panel
+profiles and disturbance shapes are polynomial coefficient lists (ascending
+powers of xi) or named presets.  The model builders take the keys as the file
+writes them: simulate.exosystem the [signals] keys (RunConfig.exosystem), the
+controllers and regulation_zero_check the same frequencies,
+discretize.assemble the pair (bd1, bd2), and discretize.project_initial_state
+the five profile keys as keywords (RunConfig.initial_profiles, which resolves
+initial_profile).  Values are literal ('%' included); [DEFAULT] is an unknown
+section.  The resolved configuration is written back out (the run manifest)
+and reparses to an identical value.  default_sweep_grid builds every sweep grid.
 """
 
 import configparser
 import io
 import math
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -55,51 +55,56 @@ def _numbers(value):
         yield value
 
 
+def _ini(section: str, default, key: str | None = None):
+    """A RunConfig field: its default, its INI section and its key where that is not the field's name."""
+    return field(default=default, metadata={"section": section, "key": key})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved run configuration (value-typed, equality-comparable)."""
 
-    rho: float = 1.0
-    a: float = 1.0
-    E: float = 1.0
-    I: float = 1.0
-    gamma: float = 5.0
-    m: float = 1.0
-    I_m: float = 1.0
+    rho: float = _ini("physical", 1.0)
+    a: float = _ini("physical", 1.0)
+    E: float = _ini("physical", 1.0)
+    I: float = _ini("physical", 1.0)
+    gamma: float = _ini("physical", 5.0)
+    m: float = _ini("physical", 1.0)
+    I_m: float = _ini("physical", 1.0)
 
-    n_basis: int = 10
+    n_basis: int = _ini("discretization", 10)
 
-    controller_kind: str = "passive"
-    c1: float = 2.5
-    c2: float = 4.0
-    q0: float = 10.0
-    r0: float = 0.1
+    controller_kind: str = _ini("controller", "passive", key="kind")
+    c1: float = _ini("controller", 2.5)
+    c2: float = _ini("controller", 4.0)
+    q0: float = _ini("controller", 10.0)
+    r0: float = _ini("controller", 0.1)
 
-    frequencies: Vec = (0.0, 1.0, 2.0, 5.0)
-    yref_const: Vec = (1.0, 2.0)
-    yref_cos: Mat = ((3.0, 0.0), (0.0, 1.5), (0.0, 0.0))
-    yref_sin: Mat = ((0.0, 0.0), (0.0, 0.0), (0.0, -1.0))
-    wd_const: Vec = (0.0, 0.0, 10.0, 15.0)
-    wd_cos: Mat = ((0.0,) * 4, (0.0,) * 4, (0.0,) * 4)
-    wd_sin: Mat = ((0.0,) * 4, (0.0,) * 4, (0.0,) * 4)
+    frequencies: Vec = _ini("signals", (0.0, 1.0, 2.0, 5.0))
+    yref_const: Vec = _ini("signals", (1.0, 2.0))
+    yref_cos: Mat = _ini("signals", ((3.0, 0.0), (0.0, 1.5), (0.0, 0.0)))
+    yref_sin: Mat = _ini("signals", ((0.0, 0.0), (0.0, 0.0), (0.0, -1.0)))
+    wd_const: Vec = _ini("signals", (0.0, 0.0, 10.0, 15.0))
+    wd_cos: Mat = _ini("signals", ((0.0,) * 4, (0.0,) * 4, (0.0,) * 4))
+    wd_sin: Mat = _ini("signals", ((0.0,) * 4, (0.0,) * 4, (0.0,) * 4))
 
-    t_final: float = 15.0
-    dt: float = 0.005
-    initial_profile: str = "parabolic_moment"
-    left_velocity: Vec = ()
-    right_velocity: Vec = ()
-    left_moment: Vec = ()
-    right_moment: Vec = ()
-    hub_velocity: Vec = (0.0, 0.0)
-    bd1: Vec = (1.0,)
-    bd2: Vec = (1.0,)
+    t_final: float = _ini("simulation", 15.0)
+    dt: float = _ini("simulation", 0.005)
+    initial_profile: str = _ini("simulation", "parabolic_moment")
+    left_velocity: Vec = _ini("simulation", ())
+    right_velocity: Vec = _ini("simulation", ())
+    left_moment: Vec = _ini("simulation", ())
+    right_moment: Vec = _ini("simulation", ())
+    hub_velocity: Vec = _ini("simulation", (0.0, 0.0))
+    bd1: Vec = _ini("simulation", (1.0,))
+    bd2: Vec = _ini("simulation", (1.0,))
 
-    sweep_points: int = 25
-    sweep_scale: str = "log"
-    workers: int = 0  # validated and echoed in the manifest; sweeps run serially and ignore it
+    sweep_points: int = _ini("sweep", 25, key="points")
+    sweep_scale: str = _ini("sweep", "log", key="scale")
+    workers: int = _ini("sweep", 0)  # validated and echoed in the manifest; sweeps run serially and ignore it
 
-    out_dir: str = "out"
-    seed: int = 0
+    out_dir: str = _ini("output", "out", key="directory")
+    seed: int = _ini("output", 0)
 
     def __post_init__(self):
         for f in fields(self):
@@ -189,24 +194,10 @@ _TYPES = {f.name: f.type for f in fields(RunConfig)}
 _READERS = {str: str.strip, Vec: _parse_vec, Mat: _parse_mat}
 _WRITERS = {float: repr, Vec: _fmt_vec, Mat: _fmt_mat}
 
-
-def _keys(*entries) -> dict:
-    """{key: RunConfig field} in file order; an entry is 'key=field' where the names differ."""
-    return dict(e.split("=") if "=" in e else (e, e) for e in entries)
-
-
-# every key of the file, section by section, in the order config_to_ini writes them
-_SECTIONS = {
-    "physical": _keys("rho", "a", "E", "I", "gamma", "m", "I_m"),
-    "discretization": _keys("n_basis"),
-    "controller": _keys("kind=controller_kind", "c1", "c2", "q0", "r0"),
-    "signals": _keys("frequencies", "yref_const", "yref_cos", "yref_sin",
-                     "wd_const", "wd_cos", "wd_sin"),
-    "simulation": _keys("t_final", "dt", "initial_profile", "left_velocity", "right_velocity",
-                        "left_moment", "right_moment", "hub_velocity", "bd1", "bd2"),
-    "sweep": _keys("points=sweep_points", "scale=sweep_scale", "workers"),
-    "output": _keys("directory=out_dir", "seed"),
-}
+# {section: {key: field}}: every key of the file, in field order, the order config_to_ini writes them
+_SECTIONS = {}
+for _f in fields(RunConfig):
+    _SECTIONS.setdefault(_f.metadata["section"], {})[_f.metadata["key"] or _f.name] = _f.name
 
 
 def parse_config(text: str) -> RunConfig:

@@ -120,6 +120,8 @@ def matrix_exponential(M: np.ndarray) -> np.ndarray:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     norm = np.linalg.norm(M, 1)
+    if not math.isfinite(norm):
+        raise ValueError(f"expected a matrix with a finite 1-norm, got {float(norm)!r}")
     if norm == 0.0:
         return np.eye(M.shape[0])
     s = max(0, int(math.ceil(math.log2(norm / _THETA13))))
@@ -131,8 +133,11 @@ def grid_steps(t_final: float, dt: float) -> int:
     """Steps of dt from 0 to t_final, a whole multiple of dt > 0 (to 1e-9 relative)."""
     if not (dt > 0.0 and math.isfinite(t_final) and t_final >= dt):
         raise ValueError(f"need t_final >= dt > 0, got t_final={t_final!r}, dt={dt!r}")
-    steps = round(t_final / dt)
-    if abs(t_final / dt - steps) > 1e-9 * steps:
+    ratio = t_final / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"t_final / dt overflows: t_final={t_final!r}, dt={dt!r}")
+    steps = round(ratio)
+    if abs(ratio - steps) > 1e-9 * steps:
         raise ValueError(f"t_final={t_final!r} is not a whole multiple of dt={dt!r}: "
                          f"the grid would end at {steps * dt!r}")
     return steps

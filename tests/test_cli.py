@@ -154,11 +154,13 @@ def test_linear_algebra_failure_exits_1(tmp_path, monkeypatch, capsys):
 def test_refused_config_prints_nothing(tmp_path, capsys):
     # refused before any work, with one config error line: a negative seed used
     # to fail validate after five check rows, and a t_final that is no whole
-    # multiple of dt ended the run early; a wrong-length offset names its key
+    # multiple of dt ended the run early, and one whose t_final / dt overflows
+    # ended in a traceback; a wrong-length offset names its key
     path = tmp_path / "bad.ini"
     for text, command, message in (("[output]\nseed = -1\n", "validate", "seed"),
                                    ("[simulation]\nt_final = 1.0\ndt = 0.4\n", "simulate", "end at 0.8"),
                                    ("[simulation]\nt_final = 0.35\ndt = 0.1\n", "simulate", "whole multiple"),
+                                   ("[simulation]\nt_final = 1e300\ndt = 1e-10\n", "validate", "overflows"),
                                    ("[signals]\nyref_const = 1.0\n", "validate", "yref_const"),
                                    ("[signals]\nwd_const = 0.0 0.0 0.0\n", "validate", "wd_const"),
                                    ("[simulation]\nhub_velocity = 0.0\n", "validate", "hub_velocity"),
@@ -172,6 +174,32 @@ def test_refused_config_prints_nothing(tmp_path, capsys):
         assert captured.out == "" and message in captured.err, text
         assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1, text
     assert not (tmp_path / "x").exists()
+
+
+def test_refused_allocation_exits_1(tmp_path, monkeypatch, capsys):
+    # an allocation the machine refuses is a runtime failure, made before the output directory
+    def refuse(cfg, cl):
+        raise MemoryError("Unable to allocate the trace")
+
+    monkeypatch.setattr(analysis, "simulate_from_config", refuse)
+    out = tmp_path / "out"
+    rc = cli.main(["--config", str(REFERENCE_INI), "--out", str(out), "simulate"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "runtime failure: Unable to allocate the trace\n"
+    assert not out.exists()
+
+
+def test_unallocatable_trace_exits_1(tmp_path, capsys):
+    # 1e15 steps of 46 output columns ask for 327 PiB, more than a 57-bit address space holds
+    path, _ = write_config(tmp_path, t_final=1e15, dt=1.0)
+    out = tmp_path / "out"
+    rc = cli.main(["--config", str(path), "--out", str(out), "simulate"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("runtime failure: Unable to allocate ") and "PiB" in captured.err
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_missing_config_file_exits_2(tmp_path):

@@ -103,6 +103,19 @@ def test_initial_profile_presets():
     assert set(custom) == {"left_velocity", "right_velocity", "left_moment", "right_moment", "hub_velocity"}
 
 
+def test_each_field_declares_its_section_and_key():
+    # a key is one field: the file lists (section, key) exactly as the fields declare them, in field order
+    written, section = [], None
+    for line in config_to_ini(RunConfig()).splitlines():
+        if line.startswith("["):
+            section = line[1:-1]
+        elif line:
+            written.append((section, line.split(" = ")[0]))
+    declared = [(f.metadata["section"], f.metadata["key"] or f.name) for f in fields(RunConfig)]
+    assert written == declared
+    assert ("controller", "kind") in written and ("output", "directory") in written
+
+
 def test_validation_errors():
     with pytest.raises(ConfigError):
         RunConfig(m=-1.0)
@@ -129,6 +142,8 @@ def test_validation_errors():
     for t_final, dt in ((1.0, 0.4), (0.35, 0.1)):  # the grid would stop short of t_final
         with pytest.raises(ConfigError, match="whole multiple"):
             RunConfig(t_final=t_final, dt=dt)
+    with pytest.raises(ConfigError, match="overflows"):  # both finite, t_final / dt is not
+        parse_config("[simulation]\nt_final = 1e300\ndt = 1e-10\n")
     with pytest.raises(ConfigError, match="seed"):
         RunConfig(seed=-1)
     with pytest.raises(ConfigError):

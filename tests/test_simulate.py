@@ -156,6 +156,17 @@ def test_expm_rejects_nonsquare():
         fx.matrix_exponential(np.zeros((2, 3)))
 
 
+def test_expm_rejects_non_finite_norm():
+    for value in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite 1-norm"):
+            fx.matrix_exponential(np.array([[value]]))
+
+
+def test_grid_steps_refuses_an_overflowing_ratio():
+    with pytest.raises(ValueError, match="overflows"):
+        simulate.grid_steps(1e300, 1e-10)
+
+
 # --- exact propagation ----------------------------------------------------------
 
 
