@@ -11,7 +11,7 @@ solved for (synthesis.solve_sylvester_H).
 Resolvent norms are sampled along the imaginary axis as the reciprocal
 smallest singular value of the shifted state matrix.  Sweeps vary one
 controller parameter at a time, recording margin and integrated squared
-tracking error per grid point, with failed points flagged, not fatal.
+tracking error per grid point; a point the model refuses is flagged, not fatal.
 """
 
 from contextlib import suppress
@@ -207,8 +207,9 @@ def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
     parameter must be a gain that changes the configured controller (sweep_range),
     and every grid value must make a valid RunConfig (a gain is positive and
     finite), else the sweep raises ConfigError before any point runs.
-    A point is flagged in ``stable``, with NaN metrics, when its synthesis or
-    its loop is refused; the sweep always completes.  The points share the
+    A point is flagged, with NaN metrics and stable False, only when the model
+    refuses its synthesis or its loop (RuntimeError, LinAlgError); anything else
+    is raised.  The points share the
     initial state, exosystem and plant, and the plant keeps its margin and each
     regulator solution it was solved for: an observer's first point solves it,
     and if that solve fails the plant records the refusal, which each later
@@ -230,14 +231,11 @@ def sweep(cfg: RunConfig, parameter: str, grid) -> SweepResult:
     exo = cfg.exosystem()
 
     def run_point(point: RunConfig):
-        with suppress(RuntimeError, ValueError):
+        with suppress(RuntimeError, np.linalg.LinAlgError):
             cl = assemble_closed_loop(ss, controller_from_config(point, ss))
             t, e = tracking_error(cl, x0_plant, exo, cfg.t_final, cfg.dt)  # refuses an unstable loop
-            return cl.margin, integrated_square_error(t, e), True
-        return np.nan, np.nan, False
+            return cl.margin, integrated_square_error(t, e)
+        return np.nan, np.nan
 
-    rows = [run_point(p) for p in points]
-    margin = np.array([r[0] for r in rows])
-    l2sq = np.array([r[1] for r in rows])
-    stable = np.array([r[2] for r in rows], dtype=bool)
-    return SweepResult(parameter=parameter, grid=grid, margin=margin, l2sq=l2sq, stable=stable)
+    margin, l2sq = np.array([run_point(p) for p in points]).T
+    return SweepResult(parameter=parameter, grid=grid, margin=margin, l2sq=l2sq, stable=~np.isnan(margin))

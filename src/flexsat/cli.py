@@ -68,12 +68,6 @@ def _check_outdir(path: str) -> None:
         raise ValueError(f"cannot use {path!r} as output directory: {parent!r} is not a directory")
 
 
-def _ensure_outdir(path: str) -> str:
-    """Create the output directory at the first write, after every input check."""
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def cmd_validate(cfg: RunConfig) -> int:
     """Print each invariant check of analysis.validation_checks as it runs; 1 if any failed."""
     failed = False
@@ -91,7 +85,8 @@ def cmd_analyze(cfg: RunConfig, out_dir: str) -> int:
     grid = np.linspace(-200.0, 200.0, 401)
     vals = analysis.resolvent_norm_scan(analysis.plant_from_config(cfg), grid)
 
-    path = os.path.join(_ensure_outdir(out_dir), "transfer_errors.csv")
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, "transfer_errors.csv")
     write_csv(path, ("N", "max_rel_error"), rows)
     print(f"wrote {path}")
     path = os.path.join(out_dir, "resolvent_scan.csv")
@@ -112,7 +107,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, perturb: dict | None) -> int:
     trace = analysis.simulate_from_config(cfg, cl)  # raises on an unstable loop, before any file
     metrics = error_metrics(trace)
 
-    trace_path = os.path.join(_ensure_outdir(out_dir), "trace.csv")
+    os.makedirs(out_dir, exist_ok=True)
+    trace_path = os.path.join(out_dir, "trace.csv")
     trace.to_csv(trace_path)
     summary_path = os.path.join(out_dir, "summary.csv")
     write_csv(summary_path, ("margin", "l2sq", "decay_rate"),
@@ -131,7 +127,8 @@ def cmd_sweep(cfg: RunConfig, out_dir: str, parameter: str, grid_text: str | Non
     """Margin and tracking-error sweep over one controller parameter."""
     grid = default_sweep_grid(cfg, parameter, grid_text)
     result = analysis.sweep(cfg, parameter, grid)
-    path = os.path.join(_ensure_outdir(out_dir), f"sweep_{parameter}.csv")
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, f"sweep_{parameter}.csv")
     result.to_csv(path)
     n_unstable = int(np.sum(~result.stable))
     print(f"wrote {path} ({grid.size} points, {n_unstable} unstable/failed)")

@@ -130,12 +130,12 @@ def matrix_exponential(M: np.ndarray) -> np.ndarray:
 
 
 def grid_steps(t_final: float, dt: float) -> int:
-    """Steps of dt from 0 to t_final, a whole multiple of dt > 0 (to 1e-9 relative)."""
-    if not (dt > 0.0 and math.isfinite(t_final) and t_final >= dt):
+    """Steps of dt from 0 to t_final, a whole multiple of dt > 0 (to 1e-9 relative), at most 2**53."""
+    if not (dt > 0.0 and t_final >= dt):
         raise ValueError(f"need t_final >= dt > 0, got t_final={t_final!r}, dt={dt!r}")
     ratio = t_final / dt
-    if not math.isfinite(ratio):
-        raise ValueError(f"t_final / dt overflows: t_final={t_final!r}, dt={dt!r}")
+    if not ratio <= 2.0**53:  # past it a double misses step indices k and times k dt; inf and NaN fail too
+        raise ValueError(f"t_final / dt overflows 2**53 steps: t_final={t_final!r}, dt={dt!r}")
     steps = round(ratio)
     if abs(ratio - steps) > 1e-9 * steps:
         raise ValueError(f"t_final={t_final!r} is not a whole multiple of dt={dt!r}: "
@@ -156,15 +156,19 @@ def propagate_autonomous(A: np.ndarray, x0: np.ndarray, T: float, dt: float, C: 
     not see is caught at the next block start.  phi^B overflows once a mode's
     |lambda| dt exceeds about 22 (709 / B), raising even if x0 lacks the mode
     (a direct call only: integrate and tracking_error refuse an unstable loop).
+    A grid numpy cannot hold for this A and C raises MemoryError, as a refused allocation does.
     """
     nt = grid_steps(T, dt) + 1
     n, m = A.shape[0], C.shape[0]
     nb = -(-(nt - 1) // _BLOCK)
     phi = matrix_exponential(A * dt)
     # table[:, j, :] = (C phi^(j+1))^T, so a row x^T @ table[:, j, :] is (C phi^(j+1) x)^T
-    table = np.empty((n, _BLOCK, m))
-    ys = np.empty((1 + nb * _BLOCK, m))
-    starts = np.empty((nb, n))
+    try:
+        table = np.empty((n, _BLOCK, m))
+        ys = np.empty((1 + nb * _BLOCK, m))
+        starts = np.empty((nb, n))
+    except ValueError as exc:  # numpy's refusal of a shape whose bytes overflow, made before allocating
+        raise MemoryError(str(exc)) from exc
     starts[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
         ys[0] = C @ x0

@@ -315,6 +315,16 @@ def test_sweep_records_synthesis_failures():
     assert np.all(np.isnan(res.l2sq))
 
 
+def test_sweep_raises_what_the_model_does_not_refuse(default_config, monkeypatch):
+    # only a refused synthesis or loop flags a point; any other error ends the sweep
+    def broken(*args):
+        raise ValueError("not a model refusal")
+
+    monkeypatch.setattr(analysis, "tracking_error", broken)
+    with pytest.raises(ValueError, match="not a model refusal"):
+        analysis.sweep(default_config, "c1", [2.0, 3.0])
+
+
 def test_sweep_flags_an_unstable_point(default_config, monkeypatch):
     # the middle point's loop is forced unstable: tracking_error refuses it, so it
     # is flagged like a failed synthesis and propagates nothing, and the points

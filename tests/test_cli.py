@@ -155,12 +155,16 @@ def test_refused_config_prints_nothing(tmp_path, capsys):
     # refused before any work, with one config error line: a negative seed used
     # to fail validate after five check rows, and a t_final that is no whole
     # multiple of dt ended the run early, and one whose t_final / dt overflows
-    # ended in a traceback; a wrong-length offset names its key
+    # ended in a traceback; 1e18 steps, past 2**53, printed numpy's "array is too
+    # big" under simulate and flagged every point under sweep, which exited 0;
+    # a wrong-length offset names its key
     path = tmp_path / "bad.ini"
     for text, command, message in (("[output]\nseed = -1\n", "validate", "seed"),
                                    ("[simulation]\nt_final = 1.0\ndt = 0.4\n", "simulate", "end at 0.8"),
                                    ("[simulation]\nt_final = 0.35\ndt = 0.1\n", "simulate", "whole multiple"),
                                    ("[simulation]\nt_final = 1e300\ndt = 1e-10\n", "validate", "overflows"),
+                                   ("[simulation]\nt_final = 1e18\ndt = 1.0\n", "simulate", "overflows"),
+                                   ("[simulation]\nt_final = 1e18\ndt = 1.0\n", "sweep --param c1", "overflows"),
                                    ("[signals]\nyref_const = 1.0\n", "validate", "yref_const"),
                                    ("[signals]\nwd_const = 0.0 0.0 0.0\n", "validate", "wd_const"),
                                    ("[simulation]\nhub_velocity = 0.0\n", "validate", "hub_velocity"),
@@ -199,6 +203,21 @@ def test_unallocatable_trace_exits_1(tmp_path, capsys):
     assert rc == 1
     assert captured.err.startswith("runtime failure: Unable to allocate ") and "PiB" in captured.err
     assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_unaddressable_grid_exits_1(tmp_path, capsys):
+    # 8e15 steps pass the 2**53 bound, but at N = 40 simulate's 8e15 x 166 trace has
+    # more bytes than numpy can address: a runtime failure as a refused allocation is,
+    # and so is sweep's, whose two error rows numpy accepts and the machine refuses
+    path, _ = write_config(tmp_path, n_basis=40, t_final=8e15, dt=1.0)
+    out = tmp_path / "out"
+    for command in ("simulate", "sweep --param c1"):
+        rc = cli.main(["--config", str(path), "--out", str(out), *command.split()])
+        captured = capsys.readouterr()
+        assert rc == 1, command
+        assert captured.out == "" and captured.err.startswith("runtime failure: "), command
+        assert captured.err.count("\n") == 1, command
     assert not out.exists()
 
 

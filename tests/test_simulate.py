@@ -165,6 +165,18 @@ def test_expm_rejects_non_finite_norm():
 def test_grid_steps_refuses_an_overflowing_ratio():
     with pytest.raises(ValueError, match="overflows"):
         simulate.grid_steps(1e300, 1e-10)
+    # 2**53 steps is the last count at which a double holds every step index and time
+    assert simulate.grid_steps(2.0**53, 1.0) == 2**53
+    for t_final in (float(np.nextafter(2.0**53, np.inf)), np.inf):
+        with pytest.raises(ValueError, match=r"overflows 2\*\*53 steps: t_final="):
+            simulate.grid_steps(t_final, 1.0)
+
+
+def test_unaddressable_grid_is_a_refused_allocation():
+    # 8e15 steps of 200 outputs need 1.3e19 bytes, more than numpy can address:
+    # its shape ValueError, raised before anything is allocated, becomes MemoryError
+    with pytest.raises(MemoryError, match="array is too big"):
+        fx.propagate_autonomous(-np.eye(2), np.ones(2), 8e15, 1.0, np.ones((200, 2)))
 
 
 # --- exact propagation ----------------------------------------------------------

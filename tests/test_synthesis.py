@@ -251,6 +251,17 @@ def test_care_newton_step_refines_schur_solution(ss10, monkeypatch):
     assert stepped == ctrl.care_residual < 0.1 * CARE_RESIDUAL_RTOL
 
 
+def test_care_refuses_the_schur_residual_when_the_newton_step_fails(ss10, monkeypatch):
+    # the same solve as above, with the Newton step's Lyapunov solve failing: the Schur
+    # solution's residual, about 1e-6, is left over the bound and refused
+    def diverge(*args):
+        raise np.linalg.LinAlgError("Lyapunov solve failed")
+
+    monkeypatch.setattr(synthesis.sla, "solve_sylvester", diverge)
+    with pytest.raises(RuntimeError, match=r"^relative Riccati residual \d\.\d{3}e-\d\d exceeds 1\.0e-08$"):
+        fx.build_observer_controller(ss10, FREQS, 1e5, 10.0)
+
+
 def test_care_rejects_unstabilizable():
     # an unreachable unstable mode leaves U1 singular; with A = 0 and B = 0 the
     # Hamiltonian has no stable eigenvalue at all
@@ -310,6 +321,16 @@ def test_observer_requires_stable_plant(ss10):
         fx.build_observer_controller(ss0, FREQS, 10.0, 0.1)
     with pytest.raises(ValueError):
         fx.build_observer_controller(ss10, FREQS, -1.0, 0.1)
+
+
+def test_observer_refuses_a_singular_transfer_value(params):
+    # a recorded regulator solution H = 0 makes every B1 = H B block zero; the first, at
+    # omega = 0, is refused before the Riccati solve
+    ss = fx.assemble(params, 6)
+    im = fx.internal_model(FREQS)
+    ss.regulator[im.frequencies] = np.zeros((im.dim, ss.n)), 0.0
+    with pytest.raises(RuntimeError, match=r"^plant transfer value at omega = 0\.0 is singular; cannot stabilize$"):
+        fx.build_observer_controller(ss, FREQS, 10.0, 0.1)
 
 
 def test_observer_refuses_bad_gains_before_any_solve(monkeypatch):
